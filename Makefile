@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-parallel bench-plan bench-server bench-cache bench-trace bench-wal bench-stream bench-shard bench-store run-server experiments examples fmt fmt-check vet check clean
+.PHONY: all build test race cover bench bench-parallel bench-plan bench-server bench-cache bench-trace bench-wal bench-stream bench-shard bench-store bench-scan run-server experiments examples fmt fmt-check vet check clean
 
 all: build test
 
@@ -19,7 +19,7 @@ check:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'Fault|Inject|Governor|Deadline|Cancel|Budget|Degraded|Retry|Panic|Truncat|BitFlip|SaveFile' ./internal/faultinject/ ./internal/snapshot/ .
-	$(GO) test -run Fuzz ./internal/sqlish/ ./internal/snapshot/ ./internal/wal/ ./internal/segment/
+	$(GO) test -run Fuzz ./internal/sqlish/ ./internal/snapshot/ ./internal/wal/ ./internal/segment/ ./internal/relational/
 	$(GO) test -run 'Determinis|Cache|Trace|Unicode' ./internal/cache/ ./internal/keyword/ ./internal/relational/ ./internal/trace/ .
 	$(GO) test -race -run 'WAL' ./internal/wal/ .
 	$(GO) test -race -run 'Plan|Golden|Estimate' ./internal/discovery/ ./internal/keyword/ ./internal/meta/
@@ -29,6 +29,7 @@ check:
 	$(MAKE) bench-stream
 	$(MAKE) bench-shard
 	$(MAKE) bench-store
+	$(MAKE) bench-scan
 
 build:
 	$(GO) build ./...
@@ -113,6 +114,16 @@ bench-shard:
 bench-store:
 	$(GO) run ./cmd/nebulactl bench-store --size small --seed 42 --out BENCH_store.json
 	grep -q '"identical": true' BENCH_store.json
+
+# Shared-scan row kernel: the distinct structured queries of each dataset's
+# whole workload as one exhaustive SelectMulti batch, through the
+# Key()-per-row reference pass and the folded-hash kernel; the JSON artifact
+# records ns/op, allocs/op and bytes/op of both. The grep enforces the
+# identity contract — same rows, same order, same stats — and the command
+# itself exits nonzero on divergence.
+bench-scan:
+	$(GO) run ./cmd/nebulactl bench-scan --size mid,large --seed 42 --out BENCH_scan.json
+	grep -q '"identical": true' BENCH_scan.json
 
 # Serving smoke test: boot nebulad on an ephemeral port, hit /healthz, run
 # one discovery round trip, SIGTERM it, and verify the drain snapshot

@@ -79,6 +79,8 @@ func main() {
 		err = cmdBenchShard(os.Args[2:])
 	case "bench-store":
 		err = cmdBenchStore(os.Args[2:])
+	case "bench-scan":
+		err = cmdBenchScan(os.Args[2:])
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -139,6 +141,10 @@ commands:
               measure restart cost with the disk-backed index substrate:
               heap-mode full re-index vs mapping checkpoint-flushed segment
               files back in, with byte-identity of the discovery sweep
+  bench-scan  measure the shared-scan row kernel: ns/op, allocs/op and
+              bytes/op of one exhaustive SelectMulti batch through the
+              Key()-per-row reference pass and the folded-hash kernel, with
+              byte-identity of rows, order and stats
 `)
 }
 
@@ -805,6 +811,46 @@ func cmdBenchStore(args []string) error {
 	}
 	defer f.Close()
 	if err := bench.WriteStoreJSON(f, results); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", *out)
+	return nil
+}
+
+// cmdBenchScan measures the shared-pass row kernel against the reference
+// pass it replaced, on the distinct structured queries of each dataset's
+// whole workload run as one exhaustive batch.
+func cmdBenchScan(args []string) error {
+	fs := flag.NewFlagSet("bench-scan", flag.ExitOnError)
+	size := fs.String("size", "mid,large", "comma-separated dataset sizes: tiny|small|mid|large")
+	seed := fs.Int64("seed", 42, "generator seed")
+	out := fs.String("out", "BENCH_scan.json", "output JSON path (empty = stdout only)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	var sizes []string
+	for _, part := range strings.Split(*size, ",") {
+		sizes = append(sizes, strings.TrimSpace(part))
+	}
+	results, err := bench.RunScanBench(sizes, *seed)
+	if err != nil {
+		return err
+	}
+	bench.ScanTable(results).Print(os.Stdout)
+	for _, r := range results {
+		if !r.Identical {
+			return fmt.Errorf("the %s kernel diverged from the reference pass on %s; the kernel must not change results", r.Kernel, r.Dataset)
+		}
+	}
+	if *out == "" {
+		return bench.WriteScanJSON(os.Stdout, results)
+	}
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := bench.WriteScanJSON(f, results); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s\n", *out)

@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"nebula/internal/relational"
 )
@@ -31,6 +32,10 @@ type Repository struct {
 
 	statsMu     sync.Mutex
 	selectivity map[string]float64 // lower(table.column) -> distinct/rows
+
+	// compiled is the matcher snapshot of the fields above (see
+	// matcher.go); nil until first use and after every mutation.
+	compiled atomic.Pointer[matcher]
 }
 
 // NewRepository creates a NebulaMeta repository bound to a database catalog.
@@ -73,6 +78,7 @@ func (r *Repository) AddConcept(c *Concept) error {
 		}
 	}
 	r.concepts = append(r.concepts, c)
+	r.invalidateMatcher()
 	return nil
 }
 
@@ -126,24 +132,7 @@ func (r *Repository) AddEquivalentNames(element string, equivalents ...string) {
 	for _, eq := range equivalents {
 		r.equivalents[strings.ToLower(eq)] = append(r.equivalents[strings.ToLower(eq)], element)
 	}
-}
-
-// equivalentMatch reports whether word matches an equivalent name of the
-// element (either direction, whole-name or single-word component).
-func (r *Repository) equivalentMatch(word, element string) bool {
-	for _, eq := range r.equivalents[strings.ToLower(element)] {
-		if strings.EqualFold(eq, word) {
-			return true
-		}
-		// Multi-word equivalents match if the word equals a component:
-		// "id" matches equivalent name "Gene ID".
-		for _, part := range strings.Fields(eq) {
-			if strings.EqualFold(part, word) {
-				return true
-			}
-		}
-	}
-	return false
+	r.invalidateMatcher()
 }
 
 // SetOntology attaches a controlled vocabulary to a column. Membership is
@@ -154,6 +143,7 @@ func (r *Repository) SetOntology(col ColumnRef, terms []string) {
 		set[strings.ToLower(t)] = struct{}{}
 	}
 	r.ontologies[col.key()] = set
+	r.invalidateMatcher()
 }
 
 // Ontology returns the vocabulary attached to a column, if any.
@@ -170,6 +160,7 @@ func (r *Repository) SetPattern(col ColumnRef, pattern string) error {
 		return fmt.Errorf("pattern for %s: %w", col, err)
 	}
 	r.patterns[col.key()] = re
+	r.invalidateMatcher()
 	return nil
 }
 
@@ -179,9 +170,11 @@ func (r *Repository) Pattern(col ColumnRef) (*regexp.Regexp, bool) {
 	return p, ok
 }
 
-// SetSample stores an explicit value sample for a column.
+// SetSample stores an explicit value sample for a column. The repository
+// keeps the slice; callers must not modify it afterwards.
 func (r *Repository) SetSample(col ColumnRef, values []string) {
 	r.samples[col.key()] = values
+	r.invalidateMatcher()
 }
 
 // Sample returns the stored sample of a column, if any.
@@ -205,6 +198,7 @@ func (r *Repository) DrawSample(col ColumnRef, n int, rng *rand.Rand) error {
 	rows := t.Rows()
 	if len(rows) == 0 {
 		r.samples[col.key()] = nil
+		r.invalidateMatcher()
 		return nil
 	}
 	// Reservoir sampling keeps the draw uniform without copying the table.
@@ -220,6 +214,7 @@ func (r *Repository) DrawSample(col ColumnRef, n int, rng *rand.Rand) error {
 		}
 	}
 	r.samples[col.key()] = reservoir
+	r.invalidateMatcher()
 	return nil
 }
 

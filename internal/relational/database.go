@@ -12,8 +12,10 @@ import (
 // under its write lock); concurrent read-only Selects are safe, and the
 // optional scan cache is internally synchronized.
 type Database struct {
+	// tables is keyed by both the declared spelling and the lower-cased
+	// form of each table name; iterate through order, never the map.
 	tables map[string]*Table
-	order  []string // creation order, for deterministic iteration
+	order  []string // creation order (declared spellings), for deterministic iteration
 	// scanCache, when enabled, memoizes full-scan query results keyed by
 	// the query fingerprint at the owning table's epoch. nil = disabled.
 	scanCache *cache.LRU[[]*Row]
@@ -40,6 +42,7 @@ func (db *Database) CreateTable(s *Schema) (*Table, error) {
 	}
 	t.onMutate = db.rowHook
 	db.tables[strings.ToLower(s.Name)] = t
+	db.tables[s.Name] = t
 	db.order = append(db.order, s.Name)
 	return t, nil
 }
@@ -53,12 +56,17 @@ func (db *Database) CreateTable(s *Schema) (*Table, error) {
 func (db *Database) SetRowMutationHook(hook func(RowMutation)) {
 	db.rowHook = hook
 	for _, name := range db.order {
-		db.tables[strings.ToLower(name)].onMutate = hook
+		db.tables[name].onMutate = hook
 	}
 }
 
-// Table returns the named table (case-insensitive).
+// Table returns the named table (case-insensitive). The declared spelling
+// is tried first, so callers passing the catalog's own names do not pay for
+// a case fold.
 func (db *Database) Table(name string) (*Table, bool) {
+	if t, ok := db.tables[name]; ok {
+		return t, true
+	}
 	t, ok := db.tables[strings.ToLower(name)]
 	return t, ok
 }
@@ -84,7 +92,7 @@ func (db *Database) TableNames() []string {
 func (db *Database) TotalRows() int {
 	n := 0
 	for _, name := range db.order {
-		n += db.tables[strings.ToLower(name)].Len()
+		n += db.tables[name].Len()
 	}
 	return n
 }
@@ -93,7 +101,7 @@ func (db *Database) TotalRows() int {
 // existing table's primary key.
 func (db *Database) ValidateForeignKeys() error {
 	for _, name := range db.order {
-		t := db.tables[strings.ToLower(name)]
+		t := db.tables[name]
 		for _, fk := range t.schema.ForeignKeys {
 			ref, ok := db.Table(fk.RefTable)
 			if !ok {
@@ -131,7 +139,7 @@ func (db *Database) SetScanCacheLimit(maxBytes int64) { db.scanCache.SetMaxBytes
 func (db *Database) Epoch() uint64 {
 	e := uint64(len(db.order))
 	for _, name := range db.order {
-		e += db.tables[strings.ToLower(name)].Epoch()
+		e += db.tables[name].Epoch()
 	}
 	return e
 }
@@ -194,19 +202,11 @@ func (db *Database) selectQuery(q Query, useCache bool) ([]*Row, SelectStats, er
 	stats.IndexUsed = usedIndex
 	stats.TuplesScanned = len(candidates)
 
+	// The driving predicate is already satisfied by the access path.
+	preds := compilePredicates(t.schema, q.Predicates, drove)
 	var out []*Row
 	for _, r := range candidates {
-		ok := true
-		for i, p := range q.Predicates {
-			if i == drove {
-				continue // already satisfied by the access path
-			}
-			if !p.Matches(r) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if matchAll(preds, r.Values) {
 			out = append(out, r)
 		}
 	}
@@ -233,17 +233,20 @@ func (db *Database) accessPath(t *Table, q Query) (rows []*Row, drove int, usedI
 	best := -1
 	var bestRows []*Row
 	for i, p := range q.Predicates {
-		key := strings.ToLower(p.Column)
+		ci, ok := t.schema.ColumnIndex(p.Column)
+		if !ok {
+			continue
+		}
 		switch p.Op {
 		case OpEq:
-			if ix, ok := t.hash[key]; ok {
+			if ix := t.hash[ci]; ix != nil {
 				c := ix.lookup(p.Operand)
 				if best == -1 || len(c) < len(bestRows) {
 					best, bestRows = i, c
 				}
 			}
 		case OpContainsToken:
-			if ix, ok := t.inverted[key]; ok {
+			if ix := t.inverted[ci]; ix != nil {
 				c := ix.lookup(strings.ToLower(p.Operand.Str()))
 				if best == -1 || len(c) < len(bestRows) {
 					best, bestRows = i, c
@@ -302,7 +305,7 @@ func (db *Database) Related(r *Row) []*Row {
 	// Incoming: other tables whose FK column equals this row's PK.
 	pk := r.MustGet(r.schema.PrimaryKey)
 	for _, name := range db.order {
-		t := db.tables[strings.ToLower(name)]
+		t := db.tables[name]
 		for _, fk := range t.schema.ForeignKeys {
 			if !strings.EqualFold(fk.RefTable, r.schema.Name) {
 				continue

@@ -518,3 +518,91 @@ func TestJoin(t *testing.T) {
 		t.Error("unknown right table should fail")
 	}
 }
+
+// TestCatalogLookupSpellings: names resolve case-insensitively, and the
+// catalog's own spelling resolves without folding case (no allocation).
+func TestCatalogLookupSpellings(t *testing.T) {
+	db := testDB(t)
+	gene := db.MustTable("Gene")
+	for _, name := range []string{"Gene", "gene", "GENE", "gEnE"} {
+		if got, ok := db.Table(name); !ok || got != gene {
+			t.Errorf("Table(%q) = %v, %v; want the Gene table", name, got, ok)
+		}
+	}
+	if _, ok := db.Table("Genes"); ok {
+		t.Error("Table(Genes) should not resolve")
+	}
+	for _, name := range []string{"Family", "family", "FAMILY", "fAmIlY"} {
+		if i, ok := gene.Schema().ColumnIndex(name); !ok || i != 4 {
+			t.Errorf("ColumnIndex(%q) = %d, %v; want 4", name, i, ok)
+		}
+		if rows, indexed := gene.LookupEqual(name, String("f1")); !indexed || len(rows) != 4 {
+			t.Errorf("LookupEqual(%q) = %d rows, indexed=%v; want 4 through the index", name, len(rows), indexed)
+		}
+	}
+	if _, ok := gene.Schema().ColumnIndex("Famil"); ok {
+		t.Error("ColumnIndex(Famil) should not resolve")
+	}
+	if got := db.TableNames(); len(got) != 3 {
+		t.Errorf("TableNames = %v; registering both spellings must not add tables", got)
+	}
+	row := gene.Rows()[0]
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := db.Table("Gene"); !ok {
+			t.Fatal("Gene missing")
+		}
+		if _, ok := row.Get("Family"); !ok {
+			t.Fatal("Family missing")
+		}
+	}); allocs != 0 {
+		t.Errorf("lookups by the declared spelling allocated %v times", allocs)
+	}
+}
+
+// TestInvertedIndexPostings: a token repeated within a cell is posted once,
+// postings stay in insertion order, and an update moves the row to the end
+// of its new tokens' lists.
+func TestInvertedIndexPostings(t *testing.T) {
+	db := NewDatabase()
+	tbl, err := db.CreateTable(&Schema{
+		Name:       "Doc",
+		Columns:    []Column{{Name: "ID", Type: TypeString}, {Name: "Body", Type: TypeString, FullText: true}},
+		PrimaryKey: "ID",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, body := range []string{"gene gene GENE locus", "locus gene", "protein"} {
+		if _, err := tbl.Insert([]Value{String(fmt.Sprint("d", i)), String(body)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := func(token string) string {
+		var out []string
+		for _, r := range tbl.LookupToken("Body", token) {
+			out = append(out, r.ID.Key)
+		}
+		return fmt.Sprint(out)
+	}
+	if got := ids("gene"); got != "[s:d0 s:d1]" {
+		t.Errorf("postings(gene) = %s", got)
+	}
+	if got := ids("locus"); got != "[s:d0 s:d1]" {
+		t.Errorf("postings(locus) = %s", got)
+	}
+	if err := tbl.Update(String("d0"), "Body", String("protein protein locus")); err != nil {
+		t.Fatal(err)
+	}
+	if got := ids("gene"); got != "[s:d1]" {
+		t.Errorf("after update postings(gene) = %s", got)
+	}
+	if got := ids("locus"); got != "[s:d1 s:d0]" {
+		t.Errorf("after update postings(locus) = %s", got)
+	}
+	if got := ids("protein"); got != "[s:d2 s:d0]" {
+		t.Errorf("after update postings(protein) = %s", got)
+	}
+	if !tbl.Delete(String("d0")) || ids("protein") != "[s:d2]" || ids("locus") != "[s:d1]" {
+		t.Errorf("after delete postings: protein=%s locus=%s", ids("protein"), ids("locus"))
+	}
+}

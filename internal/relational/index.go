@@ -53,17 +53,24 @@ func newInvertedIndex() *invertedIndex {
 	return &invertedIndex{postings: make(map[string][]*Row)}
 }
 
+// add appends r to the posting list of every distinct token of text. A
+// token repeated within the text is recognized by r already being the
+// list's last entry: r is absent from the column's lists when add starts
+// (a new row, or an updated one that remove just took out) and every
+// append goes to the end.
 func (ix *invertedIndex) add(text string, r *Row) {
-	seen := make(map[string]struct{})
 	for _, tok := range textutil.Tokenize(text) {
-		if _, dup := seen[tok.Lower]; dup {
+		rows := ix.postings[tok.Lower]
+		if n := len(rows); n > 0 && rows[n-1] == r {
 			continue
 		}
-		seen[tok.Lower] = struct{}{}
-		ix.postings[tok.Lower] = append(ix.postings[tok.Lower], r)
+		ix.postings[tok.Lower] = append(rows, r)
 	}
 }
 
+// remove keeps its per-call seen set: once r is out of a list, a repeat of
+// the token would rescan the whole list to find nothing, which for a
+// frequent word costs more than the set does.
 func (ix *invertedIndex) remove(text string, r *Row) {
 	seen := make(map[string]struct{})
 	for _, tok := range textutil.Tokenize(text) {

@@ -46,20 +46,76 @@ func (p Predicate) String() string {
 
 // Matches evaluates the predicate against a row.
 func (p Predicate) Matches(r *Row) bool {
-	v, ok := r.Get(p.Column)
+	c, ok := p.compile(r.schema)
+	return ok && c.matches(r.Values[c.col])
+}
+
+// compiledPredicate is a Predicate resolved against one schema: the column
+// position and, for the text operators, the lowered operand. Scans compile
+// each predicate once and evaluate the compiled form per row.
+type compiledPredicate struct {
+	col     int
+	op      Op
+	operand Value  // OpEq
+	lower   string // OpContainsToken, OpPrefix: the operand's lowered text
+}
+
+func (p Predicate) compile(s *Schema) (compiledPredicate, bool) {
+	ci, ok := s.ColumnIndex(p.Column)
 	if !ok {
-		return false
+		return compiledPredicate{}, false
 	}
-	switch p.Op {
+	c := compiledPredicate{col: ci, op: p.Op, operand: p.Operand}
+	if p.Op == OpContainsToken || p.Op == OpPrefix {
+		c.lower = strings.ToLower(p.Operand.Str())
+	}
+	return c, true
+}
+
+func (c *compiledPredicate) matches(v Value) bool {
+	switch c.op {
 	case OpEq:
-		return v.EqualFold(p.Operand)
+		return v.EqualFold(c.operand)
 	case OpContainsToken:
-		return containsToken(v.Str(), strings.ToLower(p.Operand.Str()))
+		return containsToken(v.Str(), c.lower)
 	case OpPrefix:
-		return strings.HasPrefix(strings.ToLower(v.Str()), strings.ToLower(p.Operand.Str()))
+		return hasPrefixFold(v.Str(), c.lower)
 	default:
 		return false
 	}
+}
+
+// compilePredicates compiles a conjunction, leaving out the predicate at
+// position skip (-1 for none). Callers have validated the column names.
+func compilePredicates(s *Schema, preds []Predicate, skip int) []compiledPredicate {
+	n := len(preds)
+	if skip >= 0 {
+		n--
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]compiledPredicate, 0, n)
+	for i, p := range preds {
+		if i == skip {
+			continue
+		}
+		if c, ok := p.compile(s); ok {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// matchAll reports whether the row's values satisfy every compiled
+// predicate.
+func matchAll(preds []compiledPredicate, values []Value) bool {
+	for i := range preds {
+		if !preds[i].matches(values[preds[i].col]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Query is a structured single-table selection with conjunctive predicates.

@@ -38,6 +38,9 @@ type Schema struct {
 	// ForeignKeys declared on this table.
 	ForeignKeys []ForeignKey
 
+	// colIndex maps a column's declared spelling and its lower-cased form
+	// to the column position, so a lookup by the catalog's own name never
+	// has to fold case.
 	colIndex map[string]int
 }
 
@@ -50,7 +53,7 @@ func (s *Schema) Validate() error {
 	if len(s.Columns) == 0 {
 		return fmt.Errorf("schema %s: no columns", s.Name)
 	}
-	s.colIndex = make(map[string]int, len(s.Columns))
+	s.colIndex = make(map[string]int, 2*len(s.Columns))
 	for i, c := range s.Columns {
 		if c.Name == "" {
 			return fmt.Errorf("schema %s: column %d has empty name", s.Name, i)
@@ -64,14 +67,20 @@ func (s *Schema) Validate() error {
 		}
 		s.colIndex[key] = i
 	}
+	// Exact spellings go in after the duplicate check: two columns never
+	// share a lowered key, so a declared spelling can only shadow its own
+	// column's lowered entry.
+	for i, c := range s.Columns {
+		s.colIndex[c.Name] = i
+	}
 	if s.PrimaryKey == "" {
 		return fmt.Errorf("schema %s: primary key required", s.Name)
 	}
-	if _, ok := s.colIndex[strings.ToLower(s.PrimaryKey)]; !ok {
+	if _, ok := s.ColumnIndex(s.PrimaryKey); !ok {
 		return fmt.Errorf("schema %s: primary key %q is not a column", s.Name, s.PrimaryKey)
 	}
 	for _, fk := range s.ForeignKeys {
-		if _, ok := s.colIndex[strings.ToLower(fk.Column)]; !ok {
+		if _, ok := s.ColumnIndex(fk.Column); !ok {
 			return fmt.Errorf("schema %s: foreign key on unknown column %q", s.Name, fk.Column)
 		}
 	}
@@ -79,10 +88,14 @@ func (s *Schema) Validate() error {
 }
 
 // ColumnIndex returns the position of the named column (case-insensitive)
-// and whether it exists.
+// and whether it exists. The declared spelling is tried first, so callers
+// passing the catalog's own names do not pay for a case fold.
 func (s *Schema) ColumnIndex(name string) (int, bool) {
 	if s.colIndex == nil {
 		_ = s.Validate()
+	}
+	if i, ok := s.colIndex[name]; ok {
+		return i, true
 	}
 	i, ok := s.colIndex[strings.ToLower(name)]
 	return i, ok

@@ -39,8 +39,8 @@ type Table struct {
 	schema   *Schema
 	rows     []*Row
 	byPK     map[string]*Row
-	hash     map[string]*hashIndex     // lower(column) -> index
-	inverted map[string]*invertedIndex // lower(column) -> index
+	hash     []*hashIndex     // by column position; nil where the column has none
+	inverted []*invertedIndex // by column position; nil where the column has none
 	pkCol    int
 	// epoch counts mutations (Insert/Delete/Update). Cached query results
 	// are keyed by it, so any change to the stored rows invalidates them.
@@ -64,17 +64,16 @@ func newTable(s *Schema) (*Table, error) {
 	t := &Table{
 		schema:   s,
 		byPK:     make(map[string]*Row),
-		hash:     make(map[string]*hashIndex),
-		inverted: make(map[string]*invertedIndex),
+		hash:     make([]*hashIndex, len(s.Columns)),
+		inverted: make([]*invertedIndex, len(s.Columns)),
 		pkCol:    pk,
 	}
-	for _, c := range s.Columns {
-		key := strings.ToLower(c.Name)
-		if c.Indexed || strings.EqualFold(c.Name, s.PrimaryKey) {
-			t.hash[key] = newHashIndex()
+	for i, c := range s.Columns {
+		if c.Indexed || i == pk {
+			t.hash[i] = newHashIndex()
 		}
 		if c.FullText {
-			t.inverted[key] = newInvertedIndex()
+			t.inverted[i] = newInvertedIndex()
 		}
 	}
 	return t, nil
@@ -140,13 +139,12 @@ func (t *Table) insertValidated(src *Row) *Row {
 }
 
 func (t *Table) indexRow(row *Row) {
-	for i, c := range t.schema.Columns {
-		key := strings.ToLower(c.Name)
-		if ix, ok := t.hash[key]; ok {
-			ix.add(row.Values[i], row)
+	for i, v := range row.Values {
+		if ix := t.hash[i]; ix != nil {
+			ix.add(v, row)
 		}
-		if ix, ok := t.inverted[key]; ok {
-			ix.add(row.Values[i].Str(), row)
+		if ix := t.inverted[i]; ix != nil {
+			ix.add(v.Str(), row)
 		}
 	}
 }
@@ -169,13 +167,12 @@ func (t *Table) DeleteByKey(key string) bool {
 			break
 		}
 	}
-	for i, c := range t.schema.Columns {
-		key := strings.ToLower(c.Name)
-		if ix, ok := t.hash[key]; ok {
-			ix.remove(row.Values[i], row)
+	for i, v := range row.Values {
+		if ix := t.hash[i]; ix != nil {
+			ix.remove(v, row)
 		}
-		if ix, ok := t.inverted[key]; ok {
-			ix.remove(row.Values[i].Str(), row)
+		if ix := t.inverted[i]; ix != nil {
+			ix.remove(v.Str(), row)
 		}
 	}
 	t.epoch.Add(1)
@@ -217,11 +214,10 @@ func (t *Table) UpdateByKey(key string, column string, value Value) error {
 	if old.Equal(value) {
 		return nil
 	}
-	ixKey := strings.ToLower(col.Name)
-	if ix, ok := t.hash[ixKey]; ok {
+	if ix := t.hash[ci]; ix != nil {
 		ix.remove(old, row)
 	}
-	if ix, ok := t.inverted[ixKey]; ok {
+	if ix := t.inverted[ci]; ix != nil {
 		ix.remove(old.Str(), row)
 	}
 	// Rows share value slices with miniDB copies (Subset); copy-on-write
@@ -230,10 +226,10 @@ func (t *Table) UpdateByKey(key string, column string, value Value) error {
 	copy(values, row.Values)
 	values[ci] = value
 	row.Values = values
-	if ix, ok := t.hash[ixKey]; ok {
+	if ix := t.hash[ci]; ix != nil {
 		ix.add(value, row)
 	}
-	if ix, ok := t.inverted[ixKey]; ok {
+	if ix := t.inverted[ci]; ix != nil {
 		ix.add(value.Str(), row)
 	}
 	t.epoch.Add(1)
@@ -264,13 +260,12 @@ func (t *Table) Rows() []*Row { return t.rows }
 // present and a scan otherwise. The second result reports whether an index
 // was used (the keyword executor accounts scanned-tuple costs with it).
 func (t *Table) LookupEqual(column string, v Value) ([]*Row, bool) {
-	key := strings.ToLower(column)
-	if ix, ok := t.hash[key]; ok {
-		return ix.lookup(v), true
-	}
 	ci, ok := t.schema.ColumnIndex(column)
 	if !ok {
 		return nil, false
+	}
+	if ix := t.hash[ci]; ix != nil {
+		return ix.lookup(v), true
 	}
 	var out []*Row
 	for _, r := range t.rows {
@@ -285,13 +280,12 @@ func (t *Table) LookupEqual(column string, v Value) ([]*Row, bool) {
 // (lower-cased) token. Columns without a full-text index fall back to a
 // scan with tokenized matching.
 func (t *Table) LookupToken(column, token string) []*Row {
-	key := strings.ToLower(column)
-	if ix, ok := t.inverted[key]; ok {
-		return ix.lookup(strings.ToLower(token))
-	}
 	ci, ok := t.schema.ColumnIndex(column)
 	if !ok {
 		return nil
+	}
+	if ix := t.inverted[ci]; ix != nil {
+		return ix.lookup(strings.ToLower(token))
 	}
 	needle := strings.ToLower(token)
 	var out []*Row
@@ -303,39 +297,15 @@ func (t *Table) LookupToken(column, token string) []*Row {
 	return out
 }
 
-func containsToken(text, lowerTok string) bool {
-	lt := strings.ToLower(text)
-	idx := 0
-	for {
-		i := strings.Index(lt[idx:], lowerTok)
-		if i < 0 {
-			return false
-		}
-		start := idx + i
-		end := start + len(lowerTok)
-		beforeOK := start == 0 || !isWordByte(lt[start-1])
-		afterOK := end == len(lt) || !isWordByte(lt[end])
-		if beforeOK && afterOK {
-			return true
-		}
-		idx = start + 1
-	}
-}
-
-func isWordByte(b byte) bool {
-	return b >= 'a' && b <= 'z' || b >= '0' && b <= '9' || b >= 'A' && b <= 'Z'
-}
-
 // DistinctCount returns the number of distinct values in the column when a
 // hash index exists; otherwise it computes it with a scan.
 func (t *Table) DistinctCount(column string) int {
-	key := strings.ToLower(column)
-	if ix, ok := t.hash[key]; ok {
-		return ix.distinct()
-	}
 	ci, ok := t.schema.ColumnIndex(column)
 	if !ok {
 		return 0
+	}
+	if ix := t.hash[ci]; ix != nil {
+		return ix.distinct()
 	}
 	seen := make(map[string]struct{})
 	for _, r := range t.rows {

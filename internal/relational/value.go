@@ -99,12 +99,15 @@ func (v Value) EqualFold(o Value) bool {
 	return v == o
 }
 
+// stringKeyPrefix starts the Key() of every string value.
+const stringKeyPrefix = "s:"
+
 // Key returns a canonical string form usable as a map key; distinct values
 // of different kinds never collide.
 func (v Value) Key() string {
 	switch v.kind {
 	case TypeString:
-		return "s:" + strings.ToLower(v.s)
+		return stringKeyPrefix + strings.ToLower(v.s)
 	case TypeInt:
 		return "i:" + strconv.FormatInt(v.i, 10)
 	default:

@@ -172,7 +172,7 @@ func (g *Generator) ConceptMap(tokens []textutil.Token) map[int]*Entry {
 		if textutil.IsStopword(tok.Lower) {
 			continue
 		}
-		matches := g.Meta.ConceptMatches(tok.Text)
+		matches := g.Meta.ConceptMatchesLowered(tok.Text, tok.Lower)
 		var mappings []Mapping
 		for _, m := range matches {
 			if m.Weight < g.Epsilon {
@@ -206,7 +206,7 @@ func (g *Generator) ValueMap(tokens []textutil.Token) map[int]*Entry {
 			continue
 		}
 		var mappings []Mapping
-		for _, m := range g.Meta.ValueMatches(tok.Text) {
+		for _, m := range g.Meta.ValueMatchesLowered(tok.Text, tok.Lower) {
 			if m.Weight < g.Epsilon {
 				continue
 			}

@@ -65,7 +65,12 @@ func LevenshteinSimilarity(a, b string) float64 {
 // samples, where prefixes are highly informative (identifier families share
 // prefixes: "JW0013" vs "JW0014").
 func JaroWinkler(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
+	return JaroWinklerRunes([]rune(a), []rune(b))
+}
+
+// JaroWinklerRunes is JaroWinkler over text the caller has already decoded,
+// for callers that score one word against many stored values.
+func JaroWinklerRunes(ra, rb []rune) float64 {
 	j := jaro(ra, rb)
 	if j == 0 {
 		return 0
@@ -84,6 +89,10 @@ func JaroWinkler(a, b string) float64 {
 	return j + float64(prefix)*0.1*(1-j)
 }
 
+// jaroStackRunes is the length up to which jaro keeps its match flags on
+// the stack; words and sampled cell values sit far below it.
+const jaroStackRunes = 64
+
 func jaro(ra, rb []rune) float64 {
 	la, lb := len(ra), len(rb)
 	if la == 0 && lb == 0 {
@@ -100,8 +109,14 @@ func jaro(ra, rb []rune) float64 {
 	if window < 0 {
 		window = 0
 	}
-	matchA := make([]bool, la)
-	matchB := make([]bool, lb)
+	var stackA, stackB [jaroStackRunes]bool
+	matchA, matchB := stackA[:], stackB[:]
+	if la > jaroStackRunes {
+		matchA = make([]bool, la)
+	}
+	if lb > jaroStackRunes {
+		matchB = make([]bool, lb)
+	}
 	matches := 0
 	for i := 0; i < la; i++ {
 		lo := i - window

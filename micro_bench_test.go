@@ -2,11 +2,13 @@ package nebula_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"nebula/internal/acg"
 	"nebula/internal/bench"
 	"nebula/internal/keyword"
+	"nebula/internal/raceflag"
 	"nebula/internal/relational"
 	"nebula/internal/sigmap"
 	"nebula/internal/workload"
@@ -68,6 +70,62 @@ func BenchmarkRelationalSharedScan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := ds.DB.SelectMulti(queries); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// matcherWords are annotation words of each kind the signature maps see:
+// plain English, a schema name, an ontology term, identifiers that do and do
+// not fit a column's pattern, and a protein name scored against the sample.
+var matcherWords = []string{"binding", "Gene", "proteins", "kinase", "JW00042", "P00017", "aabX", "Actin", "X9-22b"}
+
+var matcherSink int
+
+// BenchmarkValueMatches measures the Value-Map scoring of one word over the
+// ConceptRefs target columns.
+func BenchmarkValueMatches(b *testing.B) {
+	ds := microDataset(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		matcherSink += len(ds.Meta.ValueMatches(matcherWords[i%len(matcherWords)]))
+	}
+}
+
+// BenchmarkConceptMatches measures the Concept-Map scoring of one word over
+// the ConceptRefs schema elements.
+func BenchmarkConceptMatches(b *testing.B) {
+	ds := microDataset(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		matcherSink += len(ds.Meta.ConceptMatches(matcherWords[i%len(matcherWords)]))
+	}
+}
+
+// TestMatcherAllocations is the allocation guard of the compiled matcher:
+// scoring a word allocates its result slice and nothing else, and a word
+// that matches no concept allocates nothing.
+func TestMatcherAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	env, err := bench.LoadEnv("tiny", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo := env.Dataset.Meta
+	for _, word := range matcherWords {
+		lower := strings.ToLower(word)
+		values := testing.AllocsPerRun(100, func() { matcherSink += len(repo.ValueMatchesLowered(word, lower)) })
+		if values > 1 {
+			t.Errorf("ValueMatches(%q): %v allocations, want at most the result slice", word, values)
+		}
+		matches := len(repo.ConceptMatches(word))
+		concepts := testing.AllocsPerRun(100, func() { matcherSink += len(repo.ConceptMatchesLowered(word, lower)) })
+		// append grows the result 1 -> 2 -> 4 entries.
+		if want := map[int]float64{0: 0, 1: 1, 2: 2}[matches]; matches <= 2 && concepts != want {
+			t.Errorf("ConceptMatches(%q): %v allocations for %d matches, want %v", word, concepts, matches, want)
 		}
 	}
 }
