@@ -9,9 +9,11 @@ all: build test
 
 # Full pre-merge gate: static checks, build, race-enabled tests, the
 # fault-injection / governance smoke suite, the fuzz seed corpora, the
-# parallel-determinism + trace byte-identity suites, and the WAL
+# parallel-determinism + trace byte-identity suites, the WAL
 # crash-recovery matrix (cut the log at every boundary and interior byte;
-# the recovered engine must match the durable prefix exactly).
+# the recovered engine must match the durable prefix exactly), and the
+# differential restore suites (the concurrent bulk-load restore against the
+# one-insert-at-a-time reference, repeated under the race detector).
 check:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
@@ -19,9 +21,10 @@ check:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'Fault|Inject|Governor|Deadline|Cancel|Budget|Degraded|Retry|Panic|Truncat|BitFlip|SaveFile' ./internal/faultinject/ ./internal/snapshot/ .
-	$(GO) test -run Fuzz ./internal/sqlish/ ./internal/snapshot/ ./internal/wal/ ./internal/segment/ ./internal/relational/
+	$(GO) test -run Fuzz ./internal/sqlish/ ./internal/snapshot/ ./internal/wal/ ./internal/segment/ ./internal/relational/ ./internal/textutil/
 	$(GO) test -run 'Determinis|Cache|Trace|Unicode' ./internal/cache/ ./internal/keyword/ ./internal/relational/ ./internal/trace/ .
 	$(GO) test -race -run 'WAL' ./internal/wal/ .
+	$(GO) test -race -count=5 -run 'Restore|Load|Snapshot' ./internal/snapshot/ ./internal/relational/ ./internal/annotation/ ./internal/acg/ .
 	$(GO) test -race -run 'Plan|Golden|Estimate' ./internal/discovery/ ./internal/keyword/ ./internal/meta/
 	$(GO) test -race -run 'Ingest|Stream|Queue' ./internal/ingest/ ./internal/bench/ ./internal/server/ .
 	$(GO) test -race -run 'Shard' ./internal/shard/ .

@@ -231,8 +231,10 @@ func buildEngine(cfg daemonConfig) (*nebula.Engine, func(*nebula.Database) (*neb
 			if err != nil {
 				return nil, nil, fmt.Errorf("restore %s: %w", cfg.snapshotPath, err)
 			}
-			log.Printf("nebulad: restored snapshot %s (%d annotations, %d tuples)",
-				cfg.snapshotPath, engine.Store().Len(), engine.DB().TotalRows())
+			rs := engine.RestoreStats()
+			log.Printf("nebulad: restored snapshot %s (%d annotations, %d tuples) in %v: %d bytes in %d sections, verify %v, decode %v, build %v on %d workers",
+				cfg.snapshotPath, engine.Store().Len(), engine.DB().TotalRows(), seconds(rs.TotalSeconds),
+				rs.Bytes, rs.Sections, seconds(rs.VerifySeconds), seconds(rs.DecodeSeconds), seconds(rs.BuildSeconds), rs.Workers)
 			return engine, configureMeta, nil
 		}
 	}
@@ -248,6 +250,11 @@ func buildEngine(cfg daemonConfig) (*nebula.Engine, func(*nebula.Database) (*neb
 	log.Printf("nebulad: generated dataset %s seed=%d (%d annotations, %d tuples)",
 		env.Name, cfg.seed, engine.Store().Len(), engine.DB().TotalRows())
 	return engine, configureMeta, nil
+}
+
+// seconds renders a stage time the way the WAL replay line renders its own.
+func seconds(s float64) time.Duration {
+	return time.Duration(s * float64(time.Second)).Round(100 * time.Microsecond)
 }
 
 // attachWAL completes the boot sequence for a WAL-enabled daemon: replay

@@ -108,6 +108,10 @@ type Engine struct {
 	// this engine was restored from; ReplayWAL skips earlier segments.
 	// Zero (fresh engines, pre-WAL snapshots) replays everything.
 	walBaseSegment uint64
+	// restoreStats accounts the snapshot restore this engine was built
+	// from (zero for an engine built any other way). Written once by
+	// RestoreEngine before the engine is shared.
+	restoreStats RestoreStats
 
 	// manualFocal remembers each annotation's manual Stage-0 attachments
 	// (the attachTo of its AddAnnotation) — the state re-discovery
@@ -153,15 +157,16 @@ func New(db *Database, repo *MetaRepository, opts Options) (*Engine, error) {
 // (e.g. the experimental datasets, where the base publications pre-populate
 // both structures).
 func NewWithState(db *Database, repo *MetaRepository, store *AnnotationStore, graph *ACG, opts Options) (*Engine, error) {
-	return newWithState(db, repo, store, graph, opts, 0)
+	return newWithState(db, repo, store, graph, opts, 0, nil)
 }
 
 // newWithState is NewWithState plus the expected disk-store generation:
 // 0 for fresh engines (any existing segments in Options.Store.Dir belong
 // to unknown history and only serve as verified-hit shortcuts), the
 // snapshot's StoreSeq on the restore path (matching segments then carry
-// the index without a rebuild).
-func newWithState(db *Database, repo *MetaRepository, store *AnnotationStore, graph *ACG, opts Options, storeSeq uint64) (*Engine, error) {
+// the index without a rebuild); and the manual-focal map a snapshot
+// carried, nil when there is none to adopt.
+func newWithState(db *Database, repo *MetaRepository, store *AnnotationStore, graph *ACG, opts Options, storeSeq uint64, manual map[AnnotationID][]TupleID) (*Engine, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -182,15 +187,18 @@ func newWithState(db *Database, repo *MetaRepository, store *AnnotationStore, gr
 		profile:     profile,
 		manager:     manager,
 		opts:        opts,
-		manualFocal: make(map[AnnotationID][]TupleID),
+		manualFocal: manual,
 	}
 	// Pre-populated stores (restored snapshots without manual-focal data,
 	// layered datasets) default every existing true attachment to manual:
 	// re-discovery then never retracts pre-existing state it cannot
-	// classify. RestoreEngine overwrites this with the snapshotted map.
-	for _, id := range store.IDs() {
-		if focal := store.Focal(id); len(focal) > 0 {
-			e.manualFocal[id] = focal
+	// classify.
+	if manual == nil {
+		e.manualFocal = make(map[AnnotationID][]TupleID)
+		for _, id := range store.IDs() {
+			if focal := store.Focal(id); len(focal) > 0 {
+				e.manualFocal[id] = focal
+			}
 		}
 	}
 	if opts.Ingest.Enabled {

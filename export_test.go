@@ -1,6 +1,11 @@
 package nebula
 
 import (
+	"io"
+	"reflect"
+	"time"
+
+	"nebula/internal/snapshot"
 	"nebula/internal/vfs"
 	"nebula/internal/wal"
 )
@@ -16,4 +21,65 @@ func SetWALLogf(f func(format string, args ...any)) (restore func()) {
 	prev := walLogf
 	walLogf = f
 	return func() { walLogf = prev }
+}
+
+// RestoreEngineReference is RestoreEngine over the snapshot package's
+// one-insert-at-a-time reference restore: the oracle of the differential
+// restore tests.
+func RestoreEngineReference(r io.Reader, configureMeta func(*Database) (*MetaRepository, error), opts Options) (*Engine, error) {
+	snap, err := snapshot.Load(r)
+	if err != nil {
+		return nil, err
+	}
+	st, err := snap.RestoreReference()
+	if err != nil {
+		return nil, err
+	}
+	return engineFromState(st, snap.Meta, configureMeta, opts)
+}
+
+// DiffRestored names the first part of their state in which two quiescent
+// engines differ, or returns "". DeepEqual reaches every unexported field,
+// so list order inside every index, edge list and adjacency list counts.
+func DiffRestored(a, b *Engine) string {
+	// A row hook is a func value, which DeepEqual only ever finds equal to
+	// nil; take both off for the comparison.
+	for _, e := range []*Engine{a, b} {
+		e.db.SetRowMutationHook(nil)
+		defer e.refreshRowHook()
+	}
+	if !reflect.DeepEqual(a.db.TableNames(), b.db.TableNames()) {
+		return "table names"
+	}
+	for _, name := range a.db.TableNames() {
+		if !reflect.DeepEqual(a.db.MustTable(name), b.db.MustTable(name)) {
+			return "tables"
+		}
+	}
+	var jobs [2][]IngestJob
+	for i, e := range []*Engine{a, b} {
+		for _, j := range e.IngestJobs() {
+			j.EnqueuedAt = time.Time{} // freshness clocks restart at restore
+			jobs[i] = append(jobs[i], j)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		a, b any
+	}{
+		{"annotation store", a.store, b.store},
+		{"ACG", a.graph, b.graph},
+		{"hop profile", a.profile, b.profile},
+		{"manual-focal map", a.manualFocal, b.manualFocal},
+		{"pending tasks", a.manager.PendingTasks(), b.manager.PendingTasks()},
+		{"next VID", a.manager.NextVID(), b.manager.NextVID()},
+		{"bounds", a.manager.Bounds(), b.manager.Bounds()},
+		{"ingest jobs", jobs[0], jobs[1]},
+		{"WAL boundary", a.walBaseSegment, b.walBaseSegment},
+	} {
+		if !reflect.DeepEqual(c.a, c.b) {
+			return c.name
+		}
+	}
+	return ""
 }

@@ -36,15 +36,29 @@ func (db *Database) CreateTable(s *Schema) (*Table, error) {
 	if _, dup := db.tables[strings.ToLower(s.Name)]; dup {
 		return nil, fmt.Errorf("table %q already exists", s.Name)
 	}
-	t, err := newTable(s)
+	t, err := newTable(s, 0)
 	if err != nil {
 		return nil, err
 	}
-	t.onMutate = db.rowHook
-	db.tables[strings.ToLower(s.Name)] = t
-	db.tables[s.Name] = t
-	db.order = append(db.order, s.Name)
+	db.register(t)
 	return t, nil
+}
+
+// AddTable registers a table built by LoadTable, as CreateTable registers
+// an empty one.
+func (db *Database) AddTable(t *Table) error {
+	if _, dup := db.tables[strings.ToLower(t.schema.Name)]; dup {
+		return fmt.Errorf("table %q already exists", t.schema.Name)
+	}
+	db.register(t)
+	return nil
+}
+
+func (db *Database) register(t *Table) {
+	t.onMutate = db.rowHook
+	db.tables[strings.ToLower(t.schema.Name)] = t
+	db.tables[t.schema.Name] = t
+	db.order = append(db.order, t.schema.Name)
 }
 
 // SetRowMutationHook installs (or, with nil, removes) an observer for

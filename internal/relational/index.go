@@ -49,6 +49,10 @@ type invertedIndex struct {
 	postings map[string][]*Row
 }
 
+// tokenBuf is the on-stack room a lowered token is built in; a longer
+// token spills to the heap.
+type tokenBuf [64]byte
+
 func newInvertedIndex() *invertedIndex {
 	return &invertedIndex{postings: make(map[string][]*Row)}
 }
@@ -59,12 +63,16 @@ func newInvertedIndex() *invertedIndex {
 // (a new row, or an updated one that remove just took out) and every
 // append goes to the end.
 func (ix *invertedIndex) add(text string, r *Row) {
-	for _, tok := range textutil.Tokenize(text) {
-		rows := ix.postings[tok.Lower]
+	var buf tokenBuf
+	var sc textutil.Scanner
+	sc.Reset(text)
+	for sc.Next() {
+		key := textutil.AppendLower(buf[:0], text[sc.Start:sc.End], sc.ASCII)
+		rows := ix.postings[string(key)]
 		if n := len(rows); n > 0 && rows[n-1] == r {
 			continue
 		}
-		ix.postings[tok.Lower] = append(rows, r)
+		ix.postings[string(key)] = append(rows, r)
 	}
 }
 
@@ -73,20 +81,25 @@ func (ix *invertedIndex) add(text string, r *Row) {
 // frequent word costs more than the set does.
 func (ix *invertedIndex) remove(text string, r *Row) {
 	seen := make(map[string]struct{})
-	for _, tok := range textutil.Tokenize(text) {
-		if _, dup := seen[tok.Lower]; dup {
+	var buf tokenBuf
+	var sc textutil.Scanner
+	sc.Reset(text)
+	for sc.Next() {
+		key := textutil.AppendLower(buf[:0], text[sc.Start:sc.End], sc.ASCII)
+		if _, dup := seen[string(key)]; dup {
 			continue
 		}
-		seen[tok.Lower] = struct{}{}
-		rows := ix.postings[tok.Lower]
+		tok := string(key)
+		seen[tok] = struct{}{}
+		rows := ix.postings[tok]
 		for i, candidate := range rows {
 			if candidate == r {
-				ix.postings[tok.Lower] = append(rows[:i:i], rows[i+1:]...)
+				ix.postings[tok] = append(rows[:i:i], rows[i+1:]...)
 				break
 			}
 		}
-		if len(ix.postings[tok.Lower]) == 0 {
-			delete(ix.postings, tok.Lower)
+		if len(ix.postings[tok]) == 0 {
+			delete(ix.postings, tok)
 		}
 	}
 }

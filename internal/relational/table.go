@@ -56,14 +56,16 @@ type Table struct {
 	onMutate func(RowMutation)
 }
 
-func newTable(s *Schema) (*Table, error) {
+// newTable returns an empty table; rows sizes the primary-key map for a
+// table about to be filled with that many.
+func newTable(s *Schema, rows int) (*Table, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	pk, _ := s.ColumnIndex(s.PrimaryKey)
 	t := &Table{
 		schema:   s,
-		byPK:     make(map[string]*Row),
+		byPK:     make(map[string]*Row, rows),
 		hash:     make([]*hashIndex, len(s.Columns)),
 		inverted: make([]*invertedIndex, len(s.Columns)),
 		pkCol:    pk,

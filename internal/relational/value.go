@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"nebula/internal/textutil"
 )
 
 // Type enumerates the column types supported by the engine.
@@ -112,6 +114,20 @@ func (v Value) Key() string {
 		return "i:" + strconv.FormatInt(v.i, 10)
 	default:
 		return "f:" + strconv.FormatFloat(v.f, 'g', -1, 64)
+	}
+}
+
+// appendKey appends Key() to dst without building the string: the loader's
+// form of the same rule. Pure-ASCII text folds byte by byte (see fold.go);
+// anything else goes through strings.ToLower, as in Key.
+func (v Value) appendKey(dst []byte) []byte {
+	switch v.kind {
+	case TypeString:
+		return textutil.AppendLower(append(dst, stringKeyPrefix...), v.s, isASCII(v.s))
+	case TypeInt:
+		return strconv.AppendInt(append(dst, "i:"...), v.i, 10)
+	default:
+		return strconv.AppendFloat(append(dst, "f:"...), v.f, 'g', -1, 64)
 	}
 }
 

@@ -159,6 +159,9 @@ type snapshotResponse struct {
 	Bytes       int64  `json:"bytes,omitempty"`
 	Annotations int    `json:"annotations,omitempty"`
 	Tuples      int    `json:"tuples,omitempty"`
+	// Restore accounts a load: bytes, sections, workers and the seconds
+	// each stage took, the numbers /metrics then reports.
+	Restore *nebula.RestoreStats `json:"restore,omitempty"`
 }
 
 type healthResponse struct {
@@ -323,6 +326,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.render(w, queued, inflight, s.admission.isDraining())
 	renderCacheMetrics(w, s.Engine().CacheStats())
 	renderWALMetrics(w, s.Engine().WALStats(), snapshot.DirSyncFailures())
+	renderRestoreMetrics(w, s.Engine().RestoreStats())
 	renderIngestMetrics(w, s.Engine().IngestStats())
 	renderShardMetrics(w, s.Engine().ShardStats())
 	renderSegmentMetrics(w, s.Engine().StoreStats())
@@ -692,9 +696,11 @@ func (s *Server) handleSnapshotLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	s.setEngine(restored)
 	s.metrics.observeSnapshot(true)
+	stats := restored.RestoreStats()
 	writeJSON(w, http.StatusOK, snapshotResponse{
 		Path:        path,
 		Annotations: restored.Store().Len(),
 		Tuples:      restored.DB().TotalRows(),
+		Restore:     &stats,
 	})
 }

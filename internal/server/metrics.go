@@ -327,6 +327,22 @@ func renderWALMetrics(w io.Writer, ws nebula.WALStats, dirSyncFailures int64) {
 	fmt.Fprintf(w, "# TYPE nebula_snapshot_dirsync_failures_total counter\nnebula_snapshot_dirsync_failures_total %d\n", dirSyncFailures)
 }
 
+// renderRestoreMetrics writes the boot-time snapshot restore summary beside
+// the WAL replay one: together they are the restart's cost. The stages run
+// one after the other; total also covers reading the file and building the
+// engine around the restored state. All zero for an engine that was not
+// restored from a snapshot.
+func renderRestoreMetrics(w io.Writer, rs nebula.RestoreStats) {
+	fmt.Fprintf(w, "# TYPE nebula_snapshot_restore_seconds gauge\n")
+	for _, stage := range []struct {
+		name    string
+		seconds float64
+	}{{"verify", rs.VerifySeconds}, {"decode", rs.DecodeSeconds}, {"build", rs.BuildSeconds}, {"total", rs.TotalSeconds}} {
+		fmt.Fprintf(w, "nebula_snapshot_restore_seconds{stage=%q} %g\n", stage.name, stage.seconds)
+	}
+	fmt.Fprintf(w, "# TYPE nebula_snapshot_restore_bytes gauge\nnebula_snapshot_restore_bytes %d\n", rs.Bytes)
+}
+
 // renderIngestMetrics writes the streaming-ingest series: queue depth and
 // lag, admission/coalescing/drop counters, drain outcomes, and the
 // enqueue→attached freshness aggregate. Like the cache series these read

@@ -689,9 +689,41 @@ func TestSnapshotSaveLoadEndpoints(t *testing.T) {
 		t.Errorf("save reported %d annotations, %d bytes; want both > 0", save.Annotations, save.Bytes)
 	}
 
+	if n := f.metric(t, "nebula_snapshot_restore_seconds{"); n != 0 {
+		t.Errorf("restore seconds = %v before any load, want 0", n)
+	}
 	status, body = f.post(t, "/v1/snapshot/load", map[string]any{"path": path})
 	if status != http.StatusOK {
 		t.Fatalf("load status %d: %s", status, body)
+	}
+	// The response accounts the restore, and /metrics then reports the
+	// same numbers.
+	var load struct {
+		Restore struct {
+			Bytes        int64   `json:"bytes"`
+			Sections     int     `json:"sections"`
+			Rows         int     `json:"rows"`
+			Workers      int     `json:"workers"`
+			BuildSeconds float64 `json:"build_seconds"`
+			TotalSeconds float64 `json:"total_seconds"`
+		} `json:"restore"`
+	}
+	if err := json.Unmarshal(body, &load); err != nil {
+		t.Fatal(err)
+	}
+	if r := load.Restore; r.Bytes != save.Bytes || r.Sections < 4 || r.Rows == 0 || r.Workers < 1 || r.BuildSeconds <= 0 || r.TotalSeconds < r.BuildSeconds {
+		t.Errorf("load reported restore %+v for a %d-byte snapshot", r, save.Bytes)
+	}
+	if n := f.metric(t, "nebula_snapshot_restore_bytes"); n != float64(save.Bytes) {
+		t.Errorf("nebula_snapshot_restore_bytes = %v, want %d", n, save.Bytes)
+	}
+	for _, stage := range []string{"verify", "decode", "build", "total"} {
+		if n := f.metric(t, `nebula_snapshot_restore_seconds{stage="`+stage+`"}`); n <= 0 {
+			t.Errorf("nebula_snapshot_restore_seconds{stage=%q} = %v after a load, want > 0", stage, n)
+		}
+	}
+	if n := f.metric(t, `nebula_snapshot_restore_seconds{stage="total"}`); n != load.Restore.TotalSeconds {
+		t.Errorf("metrics report a %vs restore, the load response %vs", n, load.Restore.TotalSeconds)
 	}
 	// The restored engine must still serve the annotation saved above.
 	status, body = f.post(t, "/v1/discover", map[string]any{"id": id})

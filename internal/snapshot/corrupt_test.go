@@ -2,10 +2,13 @@ package snapshot
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -20,78 +23,134 @@ func encoded(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// smallStream is a full state (two cell types besides strings, true and
+// predicted edges, a graph, a profile, manual-focal lists) in few enough
+// bytes to damage every one of them in turn.
+func smallStream(t *testing.T) []byte {
+	t.Helper()
+	snap, err := Capture(fuzzState(t, 6, 4, 3, 0.25, 99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// opaque hides a reader's Len and Seek, as a pipe or a network body would.
+type opaque struct{ r io.Reader }
+
+func (o opaque) Read(p []byte) (int, error) { return o.r.Read(p) }
+
+// requireRefused loads a damaged stream through both payload paths (a
+// reader that can say how much it holds, and one that cannot) and through
+// the full restore: each must fail, and the restore must hand back no
+// partly built state.
+func requireRefused(t *testing.T, what string, damaged []byte, wantCorrupt bool) {
+	t.Helper()
+	for name, r := range map[string]io.Reader{"sized": bytes.NewReader(damaged), "opaque": opaque{bytes.NewReader(damaged)}} {
+		_, err := Load(r)
+		if err == nil {
+			t.Fatalf("%s (%s reader): loaded", what, name)
+		}
+		if wantCorrupt && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s (%s reader): error %v is not ErrCorrupt", what, name, err)
+		}
+	}
+	st, _, _, err := RestoreFrom(bytes.NewReader(damaged), 2)
+	if err == nil {
+		t.Fatalf("%s: restored", what)
+	}
+	if st.DB != nil || st.Store != nil || st.Graph != nil {
+		t.Fatalf("%s: restore failed with %v but returned a partly built state", what, err)
+	}
+}
+
+// TestEveryByteFlipIsRefused damages each byte of a snapshot in turn, once
+// in every bit and once in one. Whatever it hits (magic, version, payload
+// length, section count, a section's length, its checksum, its body) the
+// stream is refused; everywhere but the version field, as ErrCorrupt.
+func TestEveryByteFlipIsRefused(t *testing.T) {
+	data := smallStream(t)
+	if _, err := Load(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	for off := range data {
+		inVersion := off >= len(magic) && off < len(magic)+4
+		for _, mask := range []byte{0xFF, 1 << (off % 8)} {
+			mut := bytes.Clone(data)
+			mut[off] ^= mask
+			requireRefused(t, fmt.Sprintf("flip of byte %d with %#02x", off, mask), mut, !inVersion)
+		}
+	}
+}
+
+// TestEveryTruncationIsRefused cuts a snapshot at every length.
+func TestEveryTruncationIsRefused(t *testing.T) {
+	data := smallStream(t)
+	for cut := 0; cut < len(data); cut++ {
+		requireRefused(t, fmt.Sprintf("cut at %d", cut), data[:cut], true)
+	}
+}
+
 func TestLoadDetectsTruncation(t *testing.T) {
 	data := encoded(t)
-	// Every truncation point past the magic must fail loudly; points inside
-	// the payload must fail as ErrCorrupt specifically.
-	for _, cut := range []int{len(magic) + 3, len(magic) + 16, len(data) / 2, len(data) - 1} {
-		_, err := Load(bytes.NewReader(data[:cut]))
-		if err == nil {
-			t.Fatalf("truncation at %d of %d loaded successfully", cut, len(data))
-		}
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("truncation at %d: error %v is not ErrCorrupt", cut, err)
-		}
+	for _, cut := range []int{len(magic) + 3, len(magic) + 16, headerLen + 5, len(data) / 2, len(data) - 1} {
+		requireRefused(t, "large stream cut", data[:cut], true)
 	}
 }
 
 func TestLoadDetectsBitFlips(t *testing.T) {
 	data := encoded(t)
-	headerLen := len(magic) + 16
-	// Flip one bit at several payload offsets; the checksum must catch all.
-	for _, off := range []int{headerLen, headerLen + 100, len(data) - 1} {
-		flipped := append([]byte(nil), data...)
+	// The first section's length and checksum, a byte of every kind of
+	// section, the last byte.
+	for _, off := range []int{headerLen, headerLen + 9, headerLen + frameLen + 4, len(data) / 3, len(data) / 2, len(data) - 1} {
+		flipped := bytes.Clone(data)
 		flipped[off] ^= 0x40
-		_, err := Load(bytes.NewReader(flipped))
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("bit flip at offset %d: error %v is not ErrCorrupt", off, err)
-		}
+		requireRefused(t, "large stream flip", flipped, true)
 	}
 }
 
-func TestLoadLegacyBareGob(t *testing.T) {
-	// Pre-checksum snapshots are bare gob streams; the explicit LoadLegacy
-	// escape hatch must still decode them...
-	_, snap := capture(t)
-	var legacy bytes.Buffer
-	if err := gob.NewEncoder(&legacy).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	data := legacy.Bytes()
-	loaded, err := LoadLegacy(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("legacy stream rejected by LoadLegacy: %v", err)
-	}
-	if loaded.Version != FormatVersion || len(loaded.Tables) != len(snap.Tables) {
-		t.Error("legacy stream decoded incorrectly")
-	}
-	// ...while strict Load refuses the same stream as corrupt: silently
-	// decoding unverified gob was the integrity hole.
-	if _, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("strict Load on bare gob: error %v is not ErrCorrupt", err)
+// TestLengthFieldsDoNotSizeAllocations pins the out-of-memory the fuzzer
+// once found: a damaged payload length, or section length, of terabytes is
+// refused after allocating no more than the bytes that were really there.
+func TestLengthFieldsDoNotSizeAllocations(t *testing.T) {
+	data := smallStream(t)
+	huge := bytes.Clone(data)
+	binary.LittleEndian.PutUint64(huge[len(magic)+4:], 1<<40)
+	section := bytes.Clone(data)
+	binary.LittleEndian.PutUint64(section[headerLen:], 1<<40)
+	for name, mut := range map[string][]byte{"payload length": huge, "section length": section} {
+		for reader, open := range map[string]func() io.Reader{
+			"sized":  func() io.Reader { return bytes.NewReader(mut) },
+			"opaque": func() io.Reader { return opaque{bytes.NewReader(mut)} },
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Load(open())
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s, %s reader: error %v is not ErrCorrupt", name, reader, err)
+			}
+			if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+				t.Errorf("%s, %s reader: allocated %d bytes for a %d-byte stream", name, reader, grown, len(mut))
+			}
+		}
 	}
 }
 
 func TestLoadDetectsCorruptedMagic(t *testing.T) {
-	// A modern snapshot whose magic got clobbered must surface as
-	// ErrCorrupt on Load — before the fix it fell through to the legacy
-	// bare-gob path and was decoded with no integrity check at all.
 	data := encoded(t)
 	for off := 0; off < len(magic); off++ {
-		mut := append([]byte(nil), data...)
+		mut := bytes.Clone(data)
 		mut[off] ^= 0xFF
 		if _, err := Load(bytes.NewReader(mut)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("magic byte %d flipped: error %v is not ErrCorrupt", off, err)
 		}
-		// LoadLegacy treats it as a legacy candidate, but gob decode of a
-		// checksummed header is overwhelmingly garbage — it must error,
-		// never hand back a half-decoded snapshot silently. (Any error is
-		// acceptable; what matters is that Load above is strict.)
-		if loaded, err := LoadLegacy(bytes.NewReader(mut)); err == nil && loaded != nil && len(loaded.Tables) == 0 {
-			t.Errorf("magic byte %d flipped: LoadLegacy returned empty snapshot without error", off)
-		}
 	}
-	// Short streams (fewer bytes than the magic) are corrupt too, not legacy.
+	// Short streams (fewer bytes than the magic) are corrupt too.
 	if _, err := Load(bytes.NewReader(data[:3])); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("3-byte stream: error %v is not ErrCorrupt", err)
 	}
@@ -108,7 +167,7 @@ func TestSaveFileRoundTripAndCleanup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded.Tables) != len(snap.Tables) || len(loaded.Attachments) != len(snap.Attachments) {
+	if len(loaded.Tables) != len(snap.Tables) || len(loaded.Annotations.Annotation) != len(snap.Annotations.Annotation) {
 		t.Error("SaveFile/LoadFile round trip mismatch")
 	}
 	// Overwrite is atomic and leaves no temp litter behind.

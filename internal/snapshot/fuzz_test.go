@@ -98,13 +98,14 @@ func fuzzState(t *testing.T, rows, anns, batchSize int, mu float64, seed uint64)
 	for i, n := 0, rng.intn(20); i < n; i++ {
 		profile.Record(rng.intn(6), rng.intn(5) != 0)
 	}
-	return State{DB: db, Store: store, Graph: graph, Profile: profile}
+	return State{DB: db, Store: store, Graph: graph, Profile: profile, ManualFocal: graph.Dump()}
 }
 
 // FuzzSnapshotRoundTrip drives the snapshot codec from fuzzed primitives:
 // the generated state must survive Capture → Save → Load → Restore →
-// Capture unchanged, and Load must never panic on the arbitrary raw
-// stream (including single-byte corruptions of a valid stream). Extend
+// Capture unchanged, the bulk-load Restore must build what the reference
+// restore builds, and Load must never panic on the arbitrary raw stream
+// (including single-byte corruptions of a valid stream). Extend
 // the corpus with `go test -fuzz=FuzzSnapshotRoundTrip ./internal/snapshot`.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(0, 0, 1, 0.1, uint64(0), []byte(nil))
@@ -112,12 +113,13 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(40, 12, 10, 0.9, uint64(7), []byte{'N', 'E', 'B', 'S', 'N', 'A', 'P', 0, 1, 2, 3})
 	f.Add(1, 30, 1, 0.0, uint64(123456789), []byte{0xff, 0xfe, 0x00})
 	f.Add(17, 1, 100, 0.5, uint64(1<<60), []byte("NEBSNAP"))
+	// A version 2 header announcing one empty section, with the frame cut.
+	f.Add(6, 4, 3, 0.25, uint64(99), []byte("NEBSNAP\x00\x02\x00\x00\x00\x0c\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, rows, anns, batchSize int, mu float64, seed uint64, raw []byte) {
-		// Arbitrary bytes must never panic either decoder, whatever they
-		// hold. LoadLegacy decoding garbage successfully is fine (it accepts
-		// any valid gob by design); only panics are bugs here.
+		// Arbitrary bytes must never panic the reader, whatever they hold,
+		// through either payload path.
 		_, _ = Load(bytes.NewReader(raw))
-		_, _ = LoadLegacy(bytes.NewReader(raw))
+		_, _ = Load(opaque{bytes.NewReader(raw)})
 
 		// Clamp the fuzzed primitives to constructible states. mu outside
 		// [0,1) and non-finite values are normalized, not rejected: the
@@ -151,10 +153,15 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatalf("decoded snapshot re-encodes differently\nsaved:  %+v\nloaded: %+v", snap, loaded)
 		}
 
-		restored, err := loaded.Restore()
+		restored, err := loaded.Restore(1 + int(seed%3))
 		if err != nil {
 			t.Fatalf("Restore: %v", err)
 		}
+		reference, err := loaded.RestoreReference()
+		if err != nil {
+			t.Fatalf("RestoreReference: %v", err)
+		}
+		requireSameState(t, restored, reference)
 		again, err := Capture(restored)
 		if err != nil {
 			t.Fatalf("re-Capture: %v", err)

@@ -1,12 +1,19 @@
 // Package snapshot persists and restores Nebula's runtime state: the
 // relational data, the annotation store with all attachment edges, the
 // Annotations Connectivity Graph (including its stability counters), and
-// the hop-distance profile. The format is a gob stream behind a
-// checksummed header (magic, version, payload length, CRC32-Castagnoli);
-// Load verifies integrity before decoding and rejects anything without the
-// magic as ErrCorrupt. Pre-checksum bare-gob state files load only through
-// the explicit LoadLegacy escape hatch. SaveFile adds durability: temp
-// file + fsync + atomic rename.
+// the hop-distance profile.
+//
+// A snapshot is a checksummed header followed by independently framed
+// sections: one of metadata, one per table, one for annotations and
+// attachments, one for the ACG (see format.go). Cells, identifiers and keys
+// travel as typed columns, so a section decodes in a few tight loops, and
+// each section carries its own CRC32-Castagnoli, so sections are verified,
+// decoded and rebuilt independently of each other and a damaged one
+// surfaces as ErrCorrupt before anything is built. Restore is a bulk load:
+// tables, store and graph are rebuilt concurrently by the loaders of their
+// own packages (see restore.go). SaveFile adds durability: temp file +
+// fsync + atomic rename. Streams of the previous format version still load
+// (see v1.go); the writer emits only the current one.
 //
 // The NebulaMeta repository is deliberately NOT part of a snapshot:
 // ConceptRefs, equivalent names, ontologies, and value patterns are
@@ -16,17 +23,11 @@
 package snapshot
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync/atomic"
 
 	"nebula/internal/acg"
@@ -35,29 +36,26 @@ import (
 	"nebula/internal/vfs"
 )
 
-// FormatVersion identifies the on-disk layout; Load rejects mismatches.
-const FormatVersion = 1
-
-// magic opens every checksummed snapshot stream. Load rejects streams that
-// do not start with it; LoadLegacy accepts them as pre-checksum bare-gob
-// snapshots (no integrity verification — explicit opt-in only).
-var magic = [8]byte{'N', 'E', 'B', 'S', 'N', 'A', 'P', 0}
-
 // ErrCorrupt reports a snapshot stream whose header is intact but whose
 // payload fails integrity verification — it was truncated mid-write or
 // bit-flipped at rest. Match with errors.Is.
 var ErrCorrupt = errors.New("snapshot: corrupt stream")
 
-// Snapshot is the serializable engine state.
+// Snapshot is the serializable engine state: the decoded form of the
+// stream's sections.
 type Snapshot struct {
-	Version int
+	Meta
+	Tables      []tableSection
+	Annotations annotationSection
+	Graph       graphSection
+}
 
-	Tables      []tableDump
-	Annotations []annotationDump
-	Attachments []attachmentDump
-
-	GraphAttachments []graphAnnDump
-	GraphStability   stabilityDump
+// Meta is the snapshot's small state: everything that is neither a table,
+// the annotation store nor the ACG.
+type Meta struct {
+	// TableCount is how many table sections the stream holds; Load checks
+	// it against the frames it found.
+	TableCount int
 
 	ProfileBuckets     []int
 	ProfileUnreachable int
@@ -66,8 +64,7 @@ type Snapshot struct {
 	// by a WAL-attached engine: the first WAL segment NOT folded into
 	// this state. Replay skips segments below it, so a crash between
 	// writing the snapshot and pruning the covered segments can never
-	// double-apply history. Zero (including in pre-WAL snapshots, where
-	// gob leaves the absent field zero) means "replay everything".
+	// double-apply history. Zero means "replay everything".
 	WALSegment uint64
 
 	// StoreSeq is the disk-backed search-index generation the snapshot
@@ -76,7 +73,7 @@ type Snapshot struct {
 	// segment manifest. On restore, a manifest carrying a different
 	// sequence belongs to some other moment in history and is discarded
 	// (the index is rebuilt). Zero means the snapshot was written without
-	// a disk-backed store (including pre-store snapshots).
+	// a disk-backed store.
 	StoreSeq uint64
 
 	// HasBounds/BoundsLower/BoundsUpper carry the engine's active
@@ -84,8 +81,7 @@ type Snapshot struct {
 	// changes are WAL-logged, and a checkpoint prunes the segments whose
 	// records established them, so the snapshot must carry them forward
 	// or post-checkpoint replay would route submissions with stale
-	// thresholds. HasBounds false (older snapshots) means "keep the
-	// constructor's bounds".
+	// thresholds. HasBounds false means "keep the constructor's bounds".
 	HasBounds   bool
 	BoundsLower float64
 	BoundsUpper float64
@@ -95,24 +91,22 @@ type Snapshot struct {
 	// tasks are durable state for the same reason bounds are: a checkpoint
 	// prunes the WAL submissions that created them, so a snapshot that
 	// dropped the queue would silently lose every task still awaiting an
-	// expert at checkpoint time. Older snapshots decode with an empty
-	// queue and NextVID zero (the pre-queue behaviour).
+	// expert at checkpoint time.
 	Tasks   []TaskDump
 	NextVID int64
 
 	// IngestJobs is the streaming-ingest queue in drain order, and
 	// IngestNextSeq its admission counter. Queued jobs are durable for the
-	// same checkpoint-prunes-the-WAL reason as Tasks. Older snapshots
-	// decode with both empty (ingest predates them).
+	// same checkpoint-prunes-the-WAL reason as Tasks.
 	IngestJobs    []IngestJobDump
 	IngestNextSeq uint64
 
 	// ManualFocal records, per annotation, the tuples a human attached
 	// directly (AddAnnotation's attachTo) as opposed to accepted machine
 	// predictions — the set a re-discovery retraction must never remove.
-	// Empty in older snapshots; restore then falls back to treating every
-	// current focal tuple as manual.
-	ManualFocal []ManualFocalDump
+	// Empty in snapshots that predate it; restore then falls back to
+	// treating every current focal tuple as manual.
+	ManualFocal tupleLists
 }
 
 // IngestJobDump is one queued ingest job in serializable form. EnqueuedAt
@@ -124,17 +118,6 @@ type IngestJobDump struct {
 	Seq        uint64
 }
 
-// ManualFocalDump is one annotation's human-attached tuple list.
-type ManualFocalDump struct {
-	Annotation string
-	Tuples     []TupleDump
-}
-
-// TupleDump names one tuple in serializable form.
-type TupleDump struct {
-	Table, Key string
-}
-
 // TaskDump is one pending expert-verification task in serializable form.
 // Decision is implicit: only Pending tasks are queued, so only Pending
 // tasks are dumped.
@@ -144,61 +127,6 @@ type TaskDump struct {
 	Table, Key string
 	Confidence float64
 	Evidence   []string
-}
-
-type columnDump struct {
-	Name     string
-	Type     int
-	Indexed  bool
-	FullText bool
-}
-
-type foreignKeyDump struct {
-	Column, RefTable, RefColumn string
-}
-
-type tableDump struct {
-	Name        string
-	Columns     []columnDump
-	PrimaryKey  string
-	ForeignKeys []foreignKeyDump
-	Rows        [][]cellDump
-}
-
-type cellDump struct {
-	Kind int
-	Int  int64
-	Flt  float64
-	Str  string
-}
-
-type annotationDump struct {
-	ID, Author, Body, Kind string
-}
-
-type attachmentDump struct {
-	Annotation string
-	Table, Key string
-	Column     string
-	Type       int
-	Confidence float64
-}
-
-type graphAnnDump struct {
-	Annotation string
-	Tuples     []tupleDump
-}
-
-type tupleDump struct {
-	Table, Key string
-}
-
-type stabilityDump struct {
-	BatchSize                                      int
-	Mu                                             float64
-	BatchAnnotations, BatchAttachments, BatchEdges int
-	BatchesClosed                                  int
-	Stable                                         bool
 }
 
 // State bundles the live objects a snapshot captures or restores.
@@ -214,27 +142,31 @@ type State struct {
 	BoundsLower float64
 	BoundsUpper float64
 
-	// Tasks/NextVID mirror Snapshot.Tasks: the pending verification queue
-	// and its VID counter. Tasks must already be ordered by VID (the
-	// engine's PendingTasks guarantees it) so captures are deterministic.
+	// Tasks/NextVID mirror Meta.Tasks: the pending verification queue and
+	// its VID counter. Tasks must already be ordered by VID (the engine's
+	// PendingTasks guarantees it) so captures are deterministic.
 	Tasks   []TaskDump
 	NextVID int64
 
-	// IngestJobs/IngestNextSeq mirror Snapshot.IngestJobs; jobs must be
-	// supplied in drain order for deterministic captures. ManualFocal must
-	// be sorted by annotation ID.
+	// IngestJobs/IngestNextSeq mirror Meta.IngestJobs; jobs must be
+	// supplied in drain order for deterministic captures.
 	IngestJobs    []IngestJobDump
 	IngestNextSeq uint64
-	ManualFocal   []ManualFocalDump
+
+	// ManualFocal is each annotation's human-attached tuple list, sorted
+	// by annotation ID. Capture copies the lists; Restore cuts them out of
+	// one slab, each capped to its own length.
+	ManualFocal []acg.AnnotationTuples
 }
 
-// Capture serializes the live state into a Snapshot value.
+// Capture serializes the live state into a Snapshot value. The result
+// shares no memory with the state: every string is copied into its
+// column's blob.
 func Capture(st State) (*Snapshot, error) {
 	if st.DB == nil || st.Store == nil {
 		return nil, fmt.Errorf("snapshot: nil database or store")
 	}
-	s := &Snapshot{
-		Version:       FormatVersion,
+	s := &Snapshot{Meta: Meta{
 		HasBounds:     st.HasBounds,
 		BoundsLower:   st.BoundsLower,
 		BoundsUpper:   st.BoundsUpper,
@@ -242,69 +174,44 @@ func Capture(st State) (*Snapshot, error) {
 		NextVID:       st.NextVID,
 		IngestJobs:    append([]IngestJobDump(nil), st.IngestJobs...),
 		IngestNextSeq: st.IngestNextSeq,
-		ManualFocal:   append([]ManualFocalDump(nil), st.ManualFocal...),
+		ManualFocal:   packTupleLists(st.ManualFocal),
+	}}
+
+	names := st.DB.TableNames()
+	s.TableCount = len(names)
+	for _, name := range names {
+		s.Tables = append(s.Tables, captureTable(st.DB.MustTable(name)))
 	}
 
-	for _, name := range st.DB.TableNames() {
-		t := st.DB.MustTable(name)
-		schema := t.Schema()
-		td := tableDump{Name: schema.Name, PrimaryKey: schema.PrimaryKey}
-		for _, c := range schema.Columns {
-			td.Columns = append(td.Columns, columnDump{
-				Name: c.Name, Type: int(c.Type), Indexed: c.Indexed, FullText: c.FullText,
-			})
-		}
-		for _, fk := range schema.ForeignKeys {
-			td.ForeignKeys = append(td.ForeignKeys, foreignKeyDump{
-				Column: fk.Column, RefTable: fk.RefTable, RefColumn: fk.RefColumn,
-			})
-		}
-		for _, r := range t.Rows() {
-			row := make([]cellDump, len(r.Values))
-			for i, v := range r.Values {
-				row[i] = cellDump{Kind: int(v.Kind()), Str: v.Str()}
-				switch v.Kind() {
-				case relational.TypeInt:
-					row[i].Int = v.AsInt()
-				case relational.TypeFloat:
-					row[i].Flt = v.AsFloat()
-				}
-			}
-			td.Rows = append(td.Rows, row)
-		}
-		s.Tables = append(s.Tables, td)
-	}
-
-	for _, id := range st.Store.IDs() {
-		a, _ := st.Store.Get(id)
-		s.Annotations = append(s.Annotations, annotationDump{
-			ID: string(a.ID), Author: a.Author, Body: a.Body, Kind: a.Kind,
-		})
+	ids := st.Store.IDs()
+	anns := make([]*annotation.Annotation, len(ids))
+	var atts []*annotation.Attachment
+	var annOf []uint64
+	for i, id := range ids {
+		anns[i], _ = st.Store.Get(id)
 		for _, att := range st.Store.Attachments(id, -1) {
-			s.Attachments = append(s.Attachments, attachmentDump{
-				Annotation: string(att.Annotation),
-				Table:      att.Tuple.Table, Key: att.Tuple.Key,
-				Column: att.Column, Type: int(att.Type), Confidence: att.Confidence,
-			})
+			atts = append(atts, att)
+			annOf = append(annOf, uint64(i))
 		}
+	}
+	a := &s.Annotations
+	a.IDs = packStrings(len(anns), func(i int) string { return string(anns[i].ID) })
+	a.Authors = packStrings(len(anns), func(i int) string { return anns[i].Author })
+	a.Bodies = packStrings(len(anns), func(i int) string { return anns[i].Body })
+	a.Kinds = packStrings(len(anns), func(i int) string { return anns[i].Kind })
+	a.Annotation = annOf
+	a.Tuples = packTuples(len(atts), func(i int) relational.TupleID { return atts[i].Tuple })
+	a.Columns = packStrings(len(atts), func(i int) string { return atts[i].Column })
+	a.Types = make([]int64, len(atts))
+	a.Confidences = make([]float64, len(atts))
+	for i, att := range atts {
+		a.Types[i], a.Confidences[i] = int64(att.Type), att.Confidence
 	}
 
 	if st.Graph != nil {
-		byAnn := st.Graph.AttachmentList()
-		ids := make([]string, 0, len(byAnn))
-		for id := range byAnn {
-			ids = append(ids, string(id))
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			d := graphAnnDump{Annotation: id}
-			for _, t := range byAnn[annotation.ID(id)] {
-				d.Tuples = append(d.Tuples, tupleDump{Table: t.Table, Key: t.Key})
-			}
-			s.GraphAttachments = append(s.GraphAttachments, d)
-		}
+		s.Graph.Attachments = packTupleLists(st.Graph.Dump())
 		bs, mu, ba, batt, be, bc, stable := st.Graph.StabilityState()
-		s.GraphStability = stabilityDump{
+		s.Graph.Stability = stabilityDump{
 			BatchSize: bs, Mu: mu,
 			BatchAnnotations: ba, BatchAttachments: batt, BatchEdges: be,
 			BatchesClosed: bc, Stable: stable,
@@ -316,192 +223,36 @@ func Capture(st State) (*Snapshot, error) {
 	return s, nil
 }
 
-// Restore rebuilds live objects from the snapshot.
-func (s *Snapshot) Restore() (State, error) {
-	if s.Version != FormatVersion {
-		return State{}, fmt.Errorf("snapshot: unsupported version %d (want %d)", s.Version, FormatVersion)
+func captureTable(t *relational.Table) tableSection {
+	schema, rows := t.Schema(), t.Rows()
+	sec := tableSection{Name: schema.Name, PrimaryKey: schema.PrimaryKey, Rows: len(rows)}
+	for _, fk := range schema.ForeignKeys {
+		sec.ForeignKeys = append(sec.ForeignKeys, foreignKeyDump{
+			Column: fk.Column, RefTable: fk.RefTable, RefColumn: fk.RefColumn,
+		})
 	}
-	st := State{
-		DB:      relational.NewDatabase(),
-		Store:   annotation.NewStore(),
-		Graph:   acg.New(s.GraphStability.BatchSize, s.GraphStability.Mu),
-		Profile: acg.NewProfile(),
-	}
-	for _, td := range s.Tables {
-		schema := &relational.Schema{Name: td.Name, PrimaryKey: td.PrimaryKey}
-		for _, c := range td.Columns {
-			schema.Columns = append(schema.Columns, relational.Column{
-				Name: c.Name, Type: relational.Type(c.Type), Indexed: c.Indexed, FullText: c.FullText,
-			})
-		}
-		for _, fk := range td.ForeignKeys {
-			schema.ForeignKeys = append(schema.ForeignKeys, relational.ForeignKey{
-				Column: fk.Column, RefTable: fk.RefTable, RefColumn: fk.RefColumn,
-			})
-		}
-		t, err := st.DB.CreateTable(schema)
-		if err != nil {
-			return State{}, fmt.Errorf("snapshot: %w", err)
-		}
-		for _, row := range td.Rows {
-			values := make([]relational.Value, len(row))
-			for i, c := range row {
-				switch relational.Type(c.Kind) {
-				case relational.TypeInt:
-					values[i] = relational.Int(c.Int)
-				case relational.TypeFloat:
-					values[i] = relational.Float(c.Flt)
-				default:
-					values[i] = relational.String(c.Str)
-				}
+	sec.Cells = make([]cellColumn, len(schema.Columns))
+	for j, c := range schema.Columns {
+		sec.Columns = append(sec.Columns, columnDump{
+			Name: c.Name, Type: int(c.Type), Indexed: c.Indexed, FullText: c.FullText,
+		})
+		col := &sec.Cells[j]
+		switch c.Type {
+		case relational.TypeInt:
+			col.Ints = make([]int64, len(rows))
+			for i, r := range rows {
+				col.Ints[i] = r.Values[j].AsInt()
 			}
-			if _, err := t.Insert(values); err != nil {
-				return State{}, fmt.Errorf("snapshot: %w", err)
+		case relational.TypeFloat:
+			col.Floats = make([]float64, len(rows))
+			for i, r := range rows {
+				col.Floats[i] = r.Values[j].AsFloat()
 			}
+		default:
+			col.Strings = packStrings(len(rows), func(i int) string { return rows[i].Values[j].Str() })
 		}
 	}
-	if err := st.DB.ValidateForeignKeys(); err != nil {
-		return State{}, fmt.Errorf("snapshot: %w", err)
-	}
-
-	for _, ad := range s.Annotations {
-		if err := st.Store.Add(&annotation.Annotation{
-			ID: annotation.ID(ad.ID), Author: ad.Author, Body: ad.Body, Kind: ad.Kind,
-		}); err != nil {
-			return State{}, fmt.Errorf("snapshot: %w", err)
-		}
-	}
-	for _, att := range s.Attachments {
-		if _, err := st.Store.Attach(annotation.Attachment{
-			Annotation: annotation.ID(att.Annotation),
-			Tuple:      relational.TupleID{Table: att.Table, Key: att.Key},
-			Column:     att.Column,
-			Type:       annotation.AttachmentType(att.Type),
-			Confidence: att.Confidence,
-		}); err != nil {
-			return State{}, fmt.Errorf("snapshot: %w", err)
-		}
-	}
-
-	for _, d := range s.GraphAttachments {
-		tuples := make([]relational.TupleID, len(d.Tuples))
-		for i, t := range d.Tuples {
-			tuples[i] = relational.TupleID{Table: t.Table, Key: t.Key}
-		}
-		st.Graph.AddAnnotation(annotation.ID(d.Annotation), tuples)
-	}
-	g := s.GraphStability
-	st.Graph.RestoreStabilityState(g.BatchSize, g.Mu, g.BatchAnnotations,
-		g.BatchAttachments, g.BatchEdges, g.BatchesClosed, g.Stable)
-	st.Profile.RestoreCounts(s.ProfileBuckets, s.ProfileUnreachable)
-	st.Tasks = append([]TaskDump(nil), s.Tasks...)
-	st.NextVID = s.NextVID
-	st.IngestJobs = append([]IngestJobDump(nil), s.IngestJobs...)
-	st.IngestNextSeq = s.IngestNextSeq
-	st.ManualFocal = append([]ManualFocalDump(nil), s.ManualFocal...)
-	return st, nil
-}
-
-// castagnoli is the CRC32 polynomial used for payload checksums (the same
-// choice as iSCSI/ext4 — better error detection than IEEE and hardware-
-// accelerated on amd64/arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Save writes the snapshot in the checksummed format: an 8-byte magic, a
-// little-endian uint32 format version, the payload length (uint64) and its
-// CRC32-Castagnoli checksum (uint32), then the gob payload. Load verifies
-// the checksum before decoding, so truncation and bit rot surface as
-// ErrCorrupt instead of a garbage engine state.
-func Save(w io.Writer, s *Snapshot) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(s); err != nil {
-		return fmt.Errorf("snapshot: encode: %w", err)
-	}
-	header := make([]byte, 0, len(magic)+16)
-	header = append(header, magic[:]...)
-	header = binary.LittleEndian.AppendUint32(header, FormatVersion)
-	header = binary.LittleEndian.AppendUint64(header, uint64(payload.Len()))
-	header = binary.LittleEndian.AppendUint32(header, crc32.Checksum(payload.Bytes(), castagnoli))
-	if _, err := w.Write(header); err != nil {
-		return fmt.Errorf("snapshot: write header: %w", err)
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return fmt.Errorf("snapshot: write payload: %w", err)
-	}
-	return nil
-}
-
-// Load reads a snapshot written by Save, verifying the payload checksum.
-// A stream that does not open with the magic is rejected as ErrCorrupt:
-// treating it as a legacy bare-gob snapshot would decode a header-
-// corrupted modern snapshot with no integrity verification at all (gob
-// happily skips unknown leading bytes often enough to yield garbage
-// state). Callers that really hold a pre-checksum state file must opt in
-// explicitly via LoadLegacy.
-func Load(r io.Reader) (*Snapshot, error) {
-	head := make([]byte, len(magic))
-	n, err := io.ReadFull(r, head)
-	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("snapshot: read header: %w", err)
-	}
-	if n < len(magic) || !bytes.Equal(head, magic[:]) {
-		return nil, fmt.Errorf("%w: bad magic (legacy bare-gob streams need LoadLegacy)", ErrCorrupt)
-	}
-	var fixed [16]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated header (%v)", ErrCorrupt, err)
-	}
-	version := binary.LittleEndian.Uint32(fixed[0:4])
-	length := binary.LittleEndian.Uint64(fixed[4:12])
-	sum := binary.LittleEndian.Uint32(fixed[12:16])
-	if version != FormatVersion {
-		return nil, fmt.Errorf("snapshot: unsupported version %d (want %d)", version, FormatVersion)
-	}
-	// The length field itself may be corrupt, so never trust it for an
-	// upfront allocation (a flipped high bit would ask for terabytes):
-	// copy incrementally and let the actual stream size bound memory.
-	if int64(length) < 0 {
-		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, length)
-	}
-	var payload bytes.Buffer
-	if n, err := io.CopyN(&payload, r, int64(length)); err != nil {
-		return nil, fmt.Errorf("%w: truncated payload at %d/%d bytes (%v)", ErrCorrupt, n, length, err)
-	}
-	if got := crc32.Checksum(payload.Bytes(), castagnoli); got != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, sum, got)
-	}
-	return loadGob(&payload)
-}
-
-// LoadLegacy is the explicit escape hatch for state files written before
-// the checksummed format existed: a stream without the magic is decoded
-// as bare gob, with NO integrity verification. Streams that do carry the
-// magic still go through the fully verified Load path, so pointing a
-// migration job at a mixed directory is safe. Everything else should use
-// Load — a modern snapshot whose header got corrupted must surface as
-// ErrCorrupt, not silently decode as gob garbage.
-func LoadLegacy(r io.Reader) (*Snapshot, error) {
-	head := make([]byte, len(magic))
-	n, err := io.ReadFull(r, head)
-	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("snapshot: read header: %w", err)
-	}
-	rest := io.MultiReader(bytes.NewReader(head[:n]), r)
-	if n == len(magic) && bytes.Equal(head, magic[:]) {
-		return Load(rest)
-	}
-	return loadGob(rest)
-}
-
-func loadGob(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("snapshot: decode: %w", err)
-	}
-	if s.Version != FormatVersion {
-		return nil, fmt.Errorf("snapshot: unsupported version %d (want %d)", s.Version, FormatVersion)
-	}
-	return &s, nil
+	return sec
 }
 
 // dirSyncFailures counts directory-fsync failures observed by SaveFileFS.
@@ -581,7 +332,7 @@ func SaveFileFS(fsys vfs.FS, path string, s *Snapshot) (err error) {
 }
 
 // LoadFile reads a snapshot file written by SaveFile, with full integrity
-// verification; see Load for the legacy-stream policy.
+// verification.
 func LoadFile(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -589,16 +340,4 @@ func LoadFile(path string) (*Snapshot, error) {
 	}
 	defer f.Close()
 	return Load(f)
-}
-
-// LoadFileLegacy reads a snapshot file via LoadLegacy: checksummed files
-// are verified, pre-checksum bare-gob files are accepted unverified. Meant
-// for one-time migration of old state directories.
-func LoadFileLegacy(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	defer f.Close()
-	return LoadLegacy(f)
 }

@@ -2,6 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"strings"
 	"testing"
 
 	"nebula/internal/acg"
@@ -28,7 +31,7 @@ func capture(t *testing.T) (State, *Snapshot) {
 	return st, snap
 }
 
-func TestRoundTripThroughGob(t *testing.T) {
+func TestRoundTripThroughSaveAndLoad(t *testing.T) {
 	orig, snap := capture(t)
 	var buf bytes.Buffer
 	if err := Save(&buf, snap); err != nil {
@@ -38,7 +41,7 @@ func TestRoundTripThroughGob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := loaded.Restore()
+	restored, err := loaded.Restore(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,17 +118,20 @@ func TestCaptureValidation(t *testing.T) {
 }
 
 func TestVersionChecks(t *testing.T) {
-	_, snap := capture(t)
-	snap.Version = 99
-	if _, err := snap.Restore(); err == nil {
-		t.Error("version mismatch should fail on Restore")
+	data := encoded(t)
+	for _, version := range []uint32{0, 3, 99} {
+		mut := bytes.Clone(data)
+		binary.LittleEndian.PutUint32(mut[len(magic):], version)
+		if _, err := Load(bytes.NewReader(mut)); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+			t.Errorf("version %d: error %v", version, err)
+		}
 	}
-	var buf bytes.Buffer
-	if err := Save(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf); err == nil {
-		t.Error("version mismatch should fail on Load")
+	// A version 2 payload behind a version 1 header fails version 1's
+	// whole-payload checksum, which the header does not hold.
+	mut := bytes.Clone(data)
+	binary.LittleEndian.PutUint32(mut[len(magic):], 1)
+	if _, err := Load(bytes.NewReader(mut)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("version 2 payload under a version 1 header: error %v is not ErrCorrupt", err)
 	}
 }
 
@@ -139,7 +145,7 @@ func TestRestoredStateIsLive(t *testing.T) {
 	// A restored state must accept new work: add an annotation, attach it,
 	// grow the graph.
 	_, snap := capture(t)
-	st, err := snap.Restore()
+	st, err := snap.Restore(1)
 	if err != nil {
 		t.Fatal(err)
 	}

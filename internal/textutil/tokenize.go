@@ -13,6 +13,7 @@ package textutil
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is a single word extracted from an annotation, with enough position
@@ -29,58 +30,125 @@ type Token struct {
 	Offset int
 }
 
-// Tokenize splits an annotation's text into word tokens. A token is a maximal
-// run of letters, digits, and the connector characters '_', '-', '.' appearing
-// between alphanumerics (so identifiers such as "JW0014", "G-Actin", and
-// "P12345.2" survive as single tokens). Pure punctuation is discarded.
-func Tokenize(text string) []Token {
-	var tokens []Token
-	runes := []rune(text)
-	n := len(runes)
-	byteOff := 0
-	i := 0
-	for i < n {
-		r := runes[i]
-		if !isWordRune(r) {
-			byteOff += len(string(r))
-			i++
-			continue
-		}
-		start := i
-		startOff := byteOff
-		for i < n {
-			r = runes[i]
-			if isWordRune(r) {
-				byteOff += len(string(r))
-				i++
-				continue
-			}
-			// Connectors stay inside a token only when the next rune
-			// continues the word: "G-Actin" is one token, "end-" is not.
-			if isConnector(r) && i+1 < n && isWordRune(runes[i+1]) {
-				byteOff += len(string(r))
-				i++
-				continue
-			}
+// Scanner walks a text's word tokens by byte offset without allocating. It
+// is the one tokenisation rule: Tokenize, the relational inverted indexes
+// and the snapshot loader all read tokens from it.
+//
+// A token is a maximal run of letters, digits, and the connector characters
+// '_', '-', '.' appearing between alphanumerics (so identifiers such as
+// "JW0014", "G-Actin", and "P12345.2" survive as single tokens). Pure
+// punctuation is discarded, and so is a byte that is not valid UTF-8: it
+// separates tokens like any other non-word character.
+type Scanner struct {
+	text string
+	pos  int
+	// Start and End delimit the current token: text[Start:End].
+	Start, End int
+	// ASCII reports that the current token holds no byte >= 0x80, so its
+	// lower-case form has the same length and is a byte-wise fold.
+	ASCII bool
+}
+
+// Reset points the scanner at the beginning of text.
+func (s *Scanner) Reset(text string) { *s = Scanner{text: text} }
+
+// Next advances to the next token and reports whether there is one.
+func (s *Scanner) Next() bool {
+	text, i := s.text, s.pos
+	for i < len(text) {
+		word, size := wordAt(text, i)
+		if word {
 			break
 		}
-		word := string(runes[start:i])
+		i += size
+	}
+	if i == len(text) {
+		s.pos = i
+		return false
+	}
+	s.Start, s.ASCII = i, true
+	for i < len(text) {
+		word, size := wordAt(text, i)
+		if word {
+			s.ASCII = s.ASCII && size == 1 && text[i] < utf8.RuneSelf
+			i += size
+			continue
+		}
+		// Connectors stay inside a token only when the next rune
+		// continues the word: "G-Actin" is one token, "end-" is not.
+		if isConnector(text[i]) && i+1 < len(text) {
+			if next, _ := wordAt(text, i+1); next {
+				i++
+				continue
+			}
+		}
+		break
+	}
+	s.End, s.pos = i, i
+	return true
+}
+
+// wordAt reports whether the rune starting at text[i] is a letter or digit,
+// and how many bytes it takes. An invalid byte is one non-word byte.
+func wordAt(text string, i int) (word bool, size int) {
+	c := text[i]
+	if c < utf8.RuneSelf {
+		return asciiWord[c], 1
+	}
+	r, size := utf8.DecodeRuneInString(text[i:])
+	return unicode.IsLetter(r) || unicode.IsDigit(r), size
+}
+
+// asciiWord marks the ASCII letters and digits.
+var asciiWord = func() (t [utf8.RuneSelf]bool) {
+	for c := range t {
+		t[c] = 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
+	}
+	return t
+}()
+
+func isConnector(c byte) bool {
+	return c == '-' || c == '_' || c == '.'
+}
+
+// AppendLower appends the lower-case form of a token to dst and returns the
+// extended buffer: a byte-wise fold when the scanner reported the token as
+// ASCII, strings.ToLower otherwise.
+func AppendLower(dst []byte, tok string, ascii bool) []byte {
+	if !ascii {
+		return append(dst, strings.ToLower(tok)...)
+	}
+	for i := 0; i < len(tok); i++ {
+		c := tok[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// Tokenize splits an annotation's text into word tokens (see Scanner for
+// what a token is). Text, and Lower where the token holds nothing to fold,
+// are substrings of text.
+func Tokenize(text string) []Token {
+	var sc Scanner
+	sc.Reset(text)
+	if !sc.Next() {
+		return nil
+	}
+	// English prose runs at about six bytes a word, separator included.
+	tokens := make([]Token, 0, (len(text)-sc.Start)/6+1)
+	for ok := true; ok; ok = sc.Next() {
+		word := text[sc.Start:sc.End]
 		tokens = append(tokens, Token{
 			Text:   word,
 			Lower:  strings.ToLower(word),
 			Index:  len(tokens),
-			Offset: startOff,
+			Offset: sc.Start,
 		})
 	}
 	return tokens
-}
-
-func isWordRune(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r)
-}
-
-func isConnector(r rune) bool {
-	return r == '-' || r == '_' || r == '.'
 }
 
 // Words returns just the lower-cased token texts, convenient for tests and

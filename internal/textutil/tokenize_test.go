@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenizeBasic(t *testing.T) {
@@ -70,21 +71,138 @@ func TestTokenizeUnicode(t *testing.T) {
 	}
 }
 
-// Property: offsets always point at the token's text within the input.
-func TestTokenizeOffsetsProperty(t *testing.T) {
-	f := func(s string) bool {
-		for _, tok := range Tokenize(s) {
-			if tok.Offset < 0 || tok.Offset+len(tok.Text) > len(s) {
-				return false
-			}
-			if s[tok.Offset:tok.Offset+len(tok.Text)] != tok.Text {
-				return false
-			}
+// referenceTokenize is the tokeniser as it stood before the byte-offset
+// scanner, kept as the oracle the scanner is held against. Its offsets are
+// taken from the token's position in the input rather than from the length
+// of each re-encoded rune: the old arithmetic drifted by two bytes for every
+// invalid byte before the token, which is the one thing it had wrong.
+func referenceTokenize(text string) []Token {
+	var tokens []Token
+	runes := []rune(text)
+	// offs[i] is the byte offset of runes[i] in text.
+	offs := make([]int, 0, len(runes)+1)
+	for off := range text {
+		offs = append(offs, off)
+	}
+	offs = append(offs, len(text))
+	word := func(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
+	n := len(runes)
+	for i := 0; i < n; {
+		if !word(runes[i]) {
+			i++
+			continue
 		}
-		return true
+		start := i
+		for i < n {
+			r := runes[i]
+			if word(r) || (r == '-' || r == '_' || r == '.') && i+1 < n && word(runes[i+1]) {
+				i++
+				continue
+			}
+			break
+		}
+		w := string(runes[start:i])
+		tokens = append(tokens, Token{Text: w, Lower: strings.ToLower(w), Index: len(tokens), Offset: offs[start]})
+	}
+	return tokens
+}
+
+// checkTokens holds Tokenize against the reference and against the input.
+func checkTokens(t *testing.T, s string) {
+	t.Helper()
+	got, want := Tokenize(s), referenceTokenize(s)
+	if len(got) != len(want) {
+		t.Fatalf("Tokenize(%q): %d tokens, reference has %d", s, len(got), len(want))
+	}
+	for i, tok := range got {
+		if tok != want[i] {
+			t.Fatalf("Tokenize(%q)[%d] = %+v, reference %+v", s, i, tok, want[i])
+		}
+		if tok.Offset < 0 || tok.Offset+len(tok.Text) > len(s) || s[tok.Offset:tok.Offset+len(tok.Text)] != tok.Text {
+			t.Fatalf("Tokenize(%q)[%d]: offset %d does not point at %q", s, i, tok.Offset, tok.Text)
+		}
+	}
+}
+
+func TestTokenizeOffsetsAfterInvalidUTF8(t *testing.T) {
+	toks := Tokenize("ab\xffcd JW0014")
+	if len(toks) != 3 {
+		t.Fatalf("got %d tokens: %+v", len(toks), toks)
+	}
+	for i, want := range []Token{
+		{Text: "ab", Lower: "ab", Index: 0, Offset: 0},
+		{Text: "cd", Lower: "cd", Index: 1, Offset: 3},
+		{Text: "JW0014", Lower: "jw0014", Index: 2, Offset: 6},
+	} {
+		if toks[i] != want {
+			t.Errorf("token %d = %+v, want %+v", i, toks[i], want)
+		}
+	}
+}
+
+// tokenizeSeeds are inputs every tokeniser change must keep right: connectors
+// in every position, non-ASCII letters whose lower-case form changes length,
+// and invalid bytes before, inside and after words.
+var tokenizeSeeds = []string{
+	"",
+	"  ,.;  ",
+	"From the exp, it seems this gene is correlated to JW0014 of grpC",
+	"protein G-Actin binds; accession P12345.2 ok; snake_case_name",
+	"trailing dash- here, dots... and a--b -lead .x_ _",
+	"g\u00e8ne n\u00famero JW0014 \u0130stanbul \u212Aelvin STRASSE \u00df\u017f",
+	"ab\xffcd JW0014",
+	"\xff\xfe lead, mid\x80dle, trail\xc3",
+	"a-\xffb c.\u00e9 \u00e9-\u00e9 x-\u0663",
+	"\xe2\x82 truncated rune then word",
+	"\ufffd real replacement rune between\ufffdwords",
+}
+
+// Property: on any input, invalid bytes included, the scanner agrees with
+// the reference and offsets point at the token's text within the input.
+func TestTokenizeOffsetsProperty(t *testing.T) {
+	for _, s := range tokenizeSeeds {
+		checkTokens(t, s)
+	}
+	f := func(s string, junk []byte) bool {
+		// quick generates valid strings only; splice raw bytes in so stray
+		// continuation and lead bytes land before, inside and after words.
+		for i, b := range junk {
+			at := (i * 7) % (len(s) + 1)
+			s = s[:at] + string([]byte{b}) + s[at:]
+		}
+		checkTokens(t, s)
+		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// FuzzTokenize holds the scanner against the reference tokeniser: same
+// Text, Lower and Index, and s[Offset:Offset+len(Text)] == Text always.
+func FuzzTokenize(f *testing.F) {
+	for _, s := range tokenizeSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) { checkTokens(t, s) })
+}
+
+// TestScannerDoesNotAllocate pins what the restart path relies on: walking
+// tokens and folding ASCII ones into a reused buffer costs no allocation.
+func TestScannerDoesNotAllocate(t *testing.T) {
+	text := "From the exp, it seems this Gene is correlated to JW0014 of grpC (G-Actin, P12345.2)"
+	buf := make([]byte, 0, 64)
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		var sc Scanner
+		sc.Reset(text)
+		for sc.Next() {
+			buf = AppendLower(buf[:0], text[sc.Start:sc.End], sc.ASCII)
+			n += len(buf)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("scanning allocates %v times per text, want 0", allocs)
 	}
 }
 

@@ -1,16 +1,20 @@
 package nebula_test
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"nebula"
 	"nebula/internal/acg"
 	"nebula/internal/bench"
 	"nebula/internal/keyword"
 	"nebula/internal/raceflag"
 	"nebula/internal/relational"
 	"nebula/internal/sigmap"
+	"nebula/internal/textutil"
 	"nebula/internal/workload"
 )
 
@@ -213,5 +217,66 @@ func BenchmarkProfileRecord(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Record(i%6, i%17 != 0)
+	}
+}
+
+// midSnapshot is a D_mid engine's snapshot stream: the restart path's input
+// at the size the end-to-end benchmark uses.
+func midSnapshot(b *testing.B) []byte {
+	b.Helper()
+	env, err := bench.FreshEnv("mid", 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds := env.Dataset
+	e, err := nebula.NewWithState(ds.DB, ds.Meta, ds.Store, ds.Graph, nebula.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := e.SaveSnapshot(&buf); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkRestoreEngine measures a restart's snapshot half on D_mid:
+// verify, decode and rebuild tables, annotation store and ACG. MB/s is
+// snapshot bytes restored per second; allocs/op over the ~27 000 restored
+// rows is the allocation cost per row.
+func BenchmarkRestoreEngine(b *testing.B) {
+	raw := midSnapshot(b)
+	configure := func(db *nebula.Database) (*nebula.MetaRepository, error) {
+		return workload.BuildMeta(db, rand.New(rand.NewSource(11)))
+	}
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := nebula.RestoreEngine(bytes.NewReader(raw), configure, nebula.DefaultOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTokenize measures the tokeniser over D_mid's publication
+// abstracts, the text the inverted indexes are built from.
+func BenchmarkTokenize(b *testing.B) {
+	env, err := bench.LoadEnv("mid", 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var texts []string
+	var size int64
+	for _, r := range env.Dataset.DB.MustTable("Publication").Rows() {
+		s := r.MustGet("Abstract").Str()
+		texts = append(texts, s)
+		size += int64(len(s))
+	}
+	b.SetBytes(size / int64(len(texts)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		matcherSink += len(textutil.Tokenize(texts[i%len(texts)]))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"nebula/internal/acg"
 	"nebula/internal/ingest"
 	"nebula/internal/segment"
 	"nebula/internal/snapshot"
@@ -13,9 +14,10 @@ import (
 )
 
 // SaveSnapshot persists the engine's runtime state — data, annotations,
-// attachments, ACG, hop profile — as a versioned gob stream. The NebulaMeta
-// repository is configuration, not state, and is NOT captured: re-register
-// concepts/patterns/ontologies when restoring (see RestoreEngine).
+// attachments, ACG, hop profile — as a versioned, checksummed stream. The
+// NebulaMeta repository is configuration, not state, and is NOT captured:
+// re-register concepts/patterns/ontologies when restoring (see
+// RestoreEngine).
 //
 // The engine's read lock is held only while capturing the state into
 // serializable form; encoding and writing happen after it is released, so
@@ -34,10 +36,10 @@ func (e *Engine) SaveSnapshot(w io.Writer) error {
 
 // captureSnapshot deep-copies the engine state into a Snapshot under the
 // read lock. The returned value shares nothing mutable with the engine
-// (Capture dumps rows and edges into plain structs), so callers serialize
-// it lock-free. In disk mode the index tail is snapshotted under the same
-// lock and the flush generation stamped into the snapshot; the caller
-// passes both to completeStoreFlush once the snapshot is durable.
+// (Capture copies rows and edges into its own columns), so callers
+// serialize it lock-free. In disk mode the index tail is snapshotted under
+// the same lock and the flush generation stamped into the snapshot; the
+// caller passes both to completeStoreFlush once the snapshot is durable.
 func (e *Engine) captureSnapshot() (*snapshot.Snapshot, map[string][]segment.Posting, uint64, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -91,18 +93,12 @@ func (e *Engine) snapshotState() snapshot.State {
 		}
 		st.IngestNextSeq = e.ingest.queue.NextSeq()
 	}
-	manualIDs := make([]string, 0, len(e.manualFocal))
-	for id := range e.manualFocal {
-		manualIDs = append(manualIDs, string(id))
+	// Capture copies the lists while the caller still holds the lock.
+	st.ManualFocal = make([]acg.AnnotationTuples, 0, len(e.manualFocal))
+	for id, tuples := range e.manualFocal {
+		st.ManualFocal = append(st.ManualFocal, acg.AnnotationTuples{ID: id, Tuples: tuples})
 	}
-	sort.Strings(manualIDs)
-	for _, id := range manualIDs {
-		d := snapshot.ManualFocalDump{Annotation: id}
-		for _, t := range e.manualFocal[AnnotationID(id)] {
-			d.Tuples = append(d.Tuples, snapshot.TupleDump{Table: t.Table, Key: t.Key})
-		}
-		st.ManualFocal = append(st.ManualFocal, d)
-	}
+	sort.Slice(st.ManualFocal, func(i, j int) bool { return st.ManualFocal[i].ID < st.ManualFocal[j].ID })
 	return st
 }
 
@@ -135,48 +131,79 @@ func (e *Engine) SaveSnapshotFile(path string) error {
 // verification (truncated or bit-flipped). Match with errors.Is.
 var ErrSnapshotCorrupt = snapshot.ErrCorrupt
 
+// RestoreStats accounts the snapshot restore an engine was built from:
+// bytes read, sections, rows, annotations and attachments rebuilt, the
+// workers used, and the seconds spent verifying checksums, decoding and
+// building. TotalSeconds is the whole of RestoreEngine, so it also covers
+// configureMeta and engine construction.
+type RestoreStats = snapshot.RestoreStats
+
+// RestoreStats reports the restore this engine was built from; the zero
+// value for an engine that was not restored from a snapshot.
+func (e *Engine) RestoreStats() RestoreStats { return e.restoreStats }
+
 // RestoreEngine rebuilds an engine from a snapshot stream. configureMeta
 // receives the restored database and must return the NebulaMeta repository
 // for it (typically the same registration code the application ran when it
-// first created the engine).
+// first created the engine). Tables, annotation store and ACG are rebuilt
+// concurrently on the workers opts.Parallelism resolves to.
 //
 // If the snapshot was written by a checkpoint, the engine remembers the
 // recorded WAL coverage boundary: a subsequent ReplayWAL/RecoverWAL skips
 // the segments the snapshot already folds in, so a crash between
 // checkpointing and pruning never double-applies history.
 func RestoreEngine(r io.Reader, configureMeta func(*Database) (*MetaRepository, error), opts Options) (*Engine, error) {
-	snap, err := snapshot.Load(r)
+	begin := time.Now()
+	st, meta, stats, err := snapshot.RestoreFrom(r, resolveWorkers(opts.Parallelism))
 	if err != nil {
 		return nil, err
 	}
-	st, err := snap.Restore()
+	e, err := engineFromState(st, meta, configureMeta, opts)
 	if err != nil {
 		return nil, err
 	}
+	stats.TotalSeconds = time.Since(begin).Seconds()
+	e.restoreStats = stats
+	return e, nil
+}
+
+// engineFromState builds the engine around a restored state and adopts the
+// snapshot's small state: bounds, pending tasks, manual-focal map, ingest
+// queue, WAL boundary.
+func engineFromState(st snapshot.State, meta snapshot.Meta, configureMeta func(*Database) (*MetaRepository, error), opts Options) (*Engine, error) {
 	repo, err := configureMeta(st.DB)
 	if err != nil {
 		return nil, fmt.Errorf("nebula: configure meta: %w", err)
 	}
+	// Snapshots that predate the manual-focal lists leave the map nil, and
+	// the engine falls back to counting every current focal tuple as manual.
+	var manual map[AnnotationID][]TupleID
+	if len(st.ManualFocal) > 0 {
+		manual = make(map[AnnotationID][]TupleID, len(st.ManualFocal))
+		for _, d := range st.ManualFocal {
+			manual[d.ID] = d.Tuples
+		}
+	}
 	// The snapshot's StoreSeq is the segment generation the disk-backed
 	// index must carry to be adopted without a rebuild (see store.go).
-	e, err := newWithState(st.DB, repo, st.Store, st.Graph, opts, snap.StoreSeq)
+	e, err := newWithState(st.DB, repo, st.Store, st.Graph, opts, meta.StoreSeq, manual)
 	if err != nil {
 		return nil, err
 	}
 	// NewWithState created a fresh profile; adopt the restored counters.
 	buckets, unreachable := st.Profile.Counts()
 	e.profile.RestoreCounts(buckets, unreachable)
-	e.walBaseSegment = snap.WALSegment
-	if snap.HasBounds {
+	e.walBaseSegment = meta.WALSegment
+	if st.HasBounds {
 		// The snapshot's thresholds override opts.Bounds: they reflect
 		// every SetBounds/TuneBounds folded into the captured state.
-		if err := e.setBounds(Bounds{Lower: snap.BoundsLower, Upper: snap.BoundsUpper}); err != nil {
+		if err := e.setBounds(Bounds{Lower: st.BoundsLower, Upper: st.BoundsUpper}); err != nil {
 			return nil, fmt.Errorf("nebula: restore bounds: %w", err)
 		}
 	}
-	if len(snap.Tasks) > 0 || snap.NextVID > 0 {
-		tasks := make([]*verification.Task, len(snap.Tasks))
-		for i, d := range snap.Tasks {
+	if len(st.Tasks) > 0 || st.NextVID > 0 {
+		tasks := make([]*verification.Task, len(st.Tasks))
+		for i, d := range st.Tasks {
 			tasks[i] = &verification.Task{
 				VID:        d.VID,
 				Annotation: AnnotationID(d.Annotation),
@@ -186,20 +213,7 @@ func RestoreEngine(r io.Reader, configureMeta func(*Database) (*MetaRepository, 
 				Decision:   verification.Pending,
 			}
 		}
-		e.manager.RestoreTasks(tasks, snap.NextVID)
-	}
-	// Adopt the snapshotted manual-focal map when present; NewWithState's
-	// fallback (every current focal tuple counts as manual) covers older
-	// snapshots that predate the field.
-	if len(st.ManualFocal) > 0 {
-		e.manualFocal = make(map[AnnotationID][]TupleID, len(st.ManualFocal))
-		for _, d := range st.ManualFocal {
-			tuples := make([]TupleID, len(d.Tuples))
-			for i, t := range d.Tuples {
-				tuples[i] = TupleID{Table: t.Table, Key: t.Key}
-			}
-			e.manualFocal[AnnotationID(d.Annotation)] = tuples
-		}
+		e.manager.RestoreTasks(tasks, st.NextVID)
 	}
 	// Re-admit the snapshotted ingest queue (only meaningful when the
 	// restoring engine enables ingest). Force preserves the recorded
