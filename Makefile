@@ -3,13 +3,14 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-parallel bench-plan bench-server bench-cache bench-trace bench-wal bench-stream bench-shard bench-store bench-scan run-server experiments examples fmt fmt-check vet check clean
+.PHONY: all build test race cover bench bench-parallel bench-plan bench-cache bench-trace bench-wal bench-stream bench-shard bench-store bench-scan run-server experiments examples fmt fmt-check vet check clean
 
 all: build test
 
 # Full pre-merge gate: static checks, build, race-enabled tests, the
 # fault-injection / governance smoke suite, the fuzz seed corpora, the
-# parallel-determinism + trace byte-identity suites, the WAL
+# parallel-determinism + trace byte-identity suites with the cache-hit
+# allocation budgets (engine and /v1/discover handler), the WAL
 # crash-recovery matrix (cut the log at every boundary and interior byte;
 # the recovered engine must match the durable prefix exactly), and the
 # differential restore suites (the concurrent bulk-load restore against the
@@ -21,8 +22,8 @@ check:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'Fault|Inject|Governor|Deadline|Cancel|Budget|Degraded|Retry|Panic|Truncat|BitFlip|SaveFile' ./internal/faultinject/ ./internal/snapshot/ .
-	$(GO) test -run Fuzz ./internal/sqlish/ ./internal/snapshot/ ./internal/wal/ ./internal/segment/ ./internal/relational/ ./internal/textutil/
-	$(GO) test -run 'Determinis|Cache|Trace|Unicode' ./internal/cache/ ./internal/keyword/ ./internal/relational/ ./internal/trace/ .
+	$(GO) test -run Fuzz ./internal/sqlish/ ./internal/snapshot/ ./internal/wal/ ./internal/segment/ ./internal/relational/ ./internal/textutil/ .
+	$(GO) test -run 'Determinis|Cache|Trace|Unicode' ./internal/cache/ ./internal/keyword/ ./internal/relational/ ./internal/trace/ ./internal/server/ .
 	$(GO) test -race -run 'WAL' ./internal/wal/ .
 	$(GO) test -race -count=5 -run 'Restore|Load|Snapshot' ./internal/snapshot/ ./internal/relational/ ./internal/annotation/ ./internal/acg/ .
 	$(GO) test -race -run 'Plan|Golden|Estimate' ./internal/discovery/ ./internal/keyword/ ./internal/meta/
@@ -62,12 +63,6 @@ bench-parallel:
 # prune counts, scan counts, the speedup, and the byte-identity check.
 bench-plan:
 	$(GO) run ./cmd/nebulactl bench-plan --size large --topk 10 --rounds 3 --out BENCH_plan.json
-
-# Load-test the nebulad serving layer in-process: discovery round trips
-# through the full HTTP stack at two client concurrency levels; the JSON
-# artifact records throughput, p50/p99 latency, and shed requests.
-bench-server:
-	$(GO) run ./cmd/nebulactl bench-server --size tiny --levels 4,32 --requests 200 --out BENCH_server.json
 
 # Measure the multi-level result cache: cold vs warm discovery sweeps at two
 # dataset sizes; the JSON artifact records the speedup, hit rates, occupancy,

@@ -1,9 +1,13 @@
 package nebula
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"nebula/internal/cache"
 )
@@ -114,42 +118,173 @@ func (e *Engine) bumpMutEpochFor(id AnnotationID) {
 // shard's epoch moves, so every cached discovery dies.
 func (e *Engine) bumpMutEpochAll() { e.mu.BumpAll() }
 
-// discoveryCacheKey fingerprints everything a discovery run's clean
-// result depends on besides engine state: the annotation text
-// (whitespace-normalized, order preserved — signature-map generation is
-// word-order- and context-sensitive through Alpha, so a token multiset
-// would over-merge), the focal set, and the options that shape the
-// pipeline. Parallelism, Deadline, and Trace are excluded: the first
-// changes only scheduling, only clean (non-truncated) runs are ever
-// cached, and tracing is observe-only — a traced and an untraced request
-// for the same annotation share one cached answer.
-func discoveryCacheKey(body string, focal []TupleID, opts Options, k int) string {
-	var b strings.Builder
-	b.Grow(len(body) + 16*len(focal) + 96)
-	b.WriteString(strings.Join(strings.Fields(body), " "))
-	b.WriteByte(0)
-	ids := make([]string, len(focal))
-	for i, f := range focal {
-		ids[i] = f.String()
+// discoveryKey is the discovery cache's key: everything a discovery run's
+// clean result depends on besides engine state. It is compared with ==, so
+// a hit is an exact match, never a fingerprint that happened not to
+// collide. body is the annotation text, whitespace-normalized with word
+// order preserved (signature-map generation is word-order- and
+// context-sensitive through Alpha, so a token multiset would over-merge);
+// focal is the focal set in canonical form; the option fields are the ones
+// that shape the pipeline, floats by their bits so the key never holds a
+// NaN that equals nothing. Parallelism, Deadline and Trace are left out:
+// the first changes only scheduling, only clean (non-truncated) runs are
+// ever cached, and tracing is observe-only — a traced and an untraced
+// request for the same annotation share one cached answer
+// (TestOptionsClassifiedForDiscoveryKey accounts for every other field).
+type discoveryKey struct {
+	body  string
+	focal string
+	// home is the home shard plus one for an annotation-local run, which
+	// lives in that shard's epoch domain: the tag keeps its entry from ever
+	// being probed under another shard's counter (two annotations can share
+	// a body). Zero for a graph-dependent run, stamped with the epoch sum.
+	home int
+
+	epsilon, spreadingCoverage, spamFraction    uint64
+	alpha, adjustmentHops, k, topK              int
+	maxQueries, maxCandidates, maxSearchedRows  int
+	sharedExecution, focalAdjustment, spreading bool
+	requireStableACG, includeRelated, plan      bool
+	searchTechnique                             string
+}
+
+// newDiscoveryKey builds the key for one run; k is the resolved spreading
+// radius and home the annotation's home shard. A body that is already
+// normalized and the option fields go in as they are, so the one
+// allocation is the focal string.
+func newDiscoveryKey(body string, focal []TupleID, opts Options, k, home int) discoveryKey {
+	key := discoveryKey{
+		body:              normalizeBody(body),
+		focal:             canonicalFocal(focal),
+		epsilon:           floatBits(opts.Epsilon),
+		spreadingCoverage: floatBits(opts.SpreadingCoverage),
+		spamFraction:      floatBits(opts.SpamFraction),
+		alpha:             opts.Alpha,
+		adjustmentHops:    opts.AdjustmentHops,
+		k:                 k,
+		topK:              opts.TopK,
+		maxQueries:        opts.Budget.MaxQueries,
+		maxCandidates:     opts.Budget.MaxCandidates,
+		maxSearchedRows:   opts.Budget.MaxSearchedRows,
+		sharedExecution:   opts.SharedExecution,
+		focalAdjustment:   opts.FocalAdjustment,
+		spreading:         opts.Spreading,
+		requireStableACG:  opts.RequireStableACG,
+		includeRelated:    opts.IncludeRelated,
+		plan:              opts.Plan,
+		searchTechnique:   opts.SearchTechnique,
 	}
-	sort.Strings(ids)
+	if !graphDependent(opts) {
+		key.home = home + 1
+	}
+	return key
+}
+
+// normalizeBody returns strings.Join(strings.Fields(body), " "), which for
+// a body already in that form is the body itself: the check allocates
+// nothing, and the key then holds the annotation's own string, not a copy.
+func normalizeBody(body string) string {
+	if bodyNormalized(body) {
+		return body
+	}
+	return strings.Join(strings.Fields(body), " ")
+}
+
+// bodyNormalized reports whether body is words separated by single spaces:
+// no leading, trailing or doubled space and no other whitespace character.
+// A rune outside ASCII is whitespace exactly when unicode.IsSpace says so,
+// which is strings.Fields' own rule; an invalid byte decodes to U+FFFD and
+// is text.
+func bodyNormalized(body string) bool {
+	afterSpace := true // true at the start: a leading space is irregular
+	for i := 0; i < len(body); i++ {
+		c := body[i]
+		switch {
+		case ' ' < c && c < utf8.RuneSelf:
+			afterSpace = false
+		case c == ' ' && !afterSpace:
+			afterSpace = true
+		case c == ' ' || '\t' <= c && c <= '\r':
+			return false
+		case c < utf8.RuneSelf: // a control character Fields keeps
+			afterSpace = false
+		default:
+			r, width := utf8.DecodeRuneInString(body[i:])
+			if unicode.IsSpace(r) {
+				return false
+			}
+			i += width - 1
+			afterSpace = false
+		}
+	}
+	return !afterSpace || body == ""
+}
+
+// canonicalFocal renders a focal set as its "Table/Key" references in
+// sorted order, each followed by a 0x01 byte: equal for two sets exactly
+// when their sorted renderings are. The caller's slice is left alone.
+func canonicalFocal(focal []TupleID) string {
+	if len(focal) == 0 {
+		return ""
+	}
+	var buf [8]TupleID
+	ids := append(buf[:0], focal...)
+	slices.SortFunc(ids, compareTupleRefs)
+	size := 0
 	for _, id := range ids {
-		b.WriteString(id)
+		size += len(id.Table) + len(id.Key) + 2
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, id := range ids {
+		b.WriteString(id.Table)
+		b.WriteByte('/')
+		b.WriteString(id.Key)
 		b.WriteByte(1)
 	}
-	b.WriteByte(0)
-	fmt.Fprintf(&b, "%g|%d|%t|%t|%d|%t|%d|%g|%t|%t|%s|%g|%d|%d|%d|%t|%d",
-		opts.Epsilon, opts.Alpha, opts.SharedExecution, opts.FocalAdjustment,
-		opts.AdjustmentHops, opts.Spreading, k, opts.SpreadingCoverage,
-		opts.RequireStableACG, opts.IncludeRelated, opts.SearchTechnique,
-		opts.SpamFraction, opts.Budget.MaxQueries, opts.Budget.MaxCandidates,
-		opts.Budget.MaxSearchedRows, opts.Plan, opts.TopK)
 	return b.String()
 }
 
-// discoveryCost approximates the memory held by one cached discovery.
-func discoveryCost(key string, d *Discovery) int64 {
-	cost := int64(len(key)) + 256
+// compareTupleRefs orders two tuple IDs as their String() renderings sort,
+// without building them.
+func compareTupleRefs(a, b TupleID) int {
+	if a.Table == b.Table {
+		return strings.Compare(a.Key, b.Key)
+	}
+	la, lb := len(a.Table)+1+len(a.Key), len(b.Table)+1+len(b.Key)
+	for i := 0; i < min(la, lb); i++ {
+		if ca, cb := tupleRefByte(a, i), tupleRefByte(b, i); ca != cb {
+			return cmp.Compare(ca, cb)
+		}
+	}
+	return cmp.Compare(la, lb)
+}
+
+// tupleRefByte is id.String()[i].
+func tupleRefByte(id TupleID, i int) byte {
+	switch n := len(id.Table); {
+	case i < n:
+		return id.Table[i]
+	case i == n:
+		return '/'
+	default:
+		return id.Key[i-n-1]
+	}
+}
+
+// floatBits is f's IEEE 754 bit pattern, with every NaN mapped to one.
+func floatBits(f float64) uint64 {
+	if f != f {
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(f)
+}
+
+// discoveryCost approximates the memory held by one cached discovery. The
+// body counts in full although a normalized body is shared with the
+// annotation store: the cache may be its last holder.
+func discoveryCost(key discoveryKey, d *Discovery) int64 {
+	cost := int64(len(key.body)+len(key.focal)) + 256
 	cost += int64(len(d.Queries)) * 96
 	for _, c := range d.Candidates {
 		cost += 96

@@ -15,7 +15,6 @@
 //	nebulactl checkpoint --wal DIR --snapshot FILE [--size tiny] [--seed 42]
 //	nebulactl bench-wal  --size tiny --writers 4 --mutations 400 --out BENCH_wal.json
 //	nebulactl bench-parallel --size large --workers 2,4,8 --rounds 3 --out BENCH_parallel.json
-//	nebulactl bench-server --size tiny --levels 4,32 --requests 200 --out BENCH_server.json
 //	nebulactl bench-cache --sizes small,mid --rounds 3 --out BENCH_cache.json
 //	nebulactl bench-trace --size small --rounds 3 --out BENCH_trace.json
 //	nebulactl bench-stream --size tiny --mutations 24 --drain-every 4 --out BENCH_stream.json
@@ -67,8 +66,6 @@ func main() {
 		err = cmdBenchParallel(os.Args[2:])
 	case "bench-plan":
 		err = cmdBenchPlan(os.Args[2:])
-	case "bench-server":
-		err = cmdBenchServer(os.Args[2:])
 	case "bench-cache":
 		err = cmdBenchCache(os.Args[2:])
 	case "bench-trace":
@@ -118,9 +115,6 @@ commands:
   bench-plan  measure exhaustive vs planned top-k discovery over the
               workload (cost-based planner with early termination) and
               verify the planner's exactness contract
-  bench-server
-              load-test the nebulad serving layer in-process: throughput,
-              latency percentiles, and shed load per concurrency level
   bench-cache
               measure the multi-level result cache: cold vs warm discovery
               sweeps, hit rates, occupancy, and byte-identity against an
@@ -514,63 +508,6 @@ func cmdBenchPlan(args []string) error {
 	}
 	defer f.Close()
 	if err := bench.WritePlanJSON(f, results); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
-	return nil
-}
-
-// cmdBenchServer load-tests the nebulad serving layer in-process: discovery
-// round trips through the full HTTP stack (admission gate included) at each
-// concurrency level, recording throughput, latency percentiles, and the
-// 429s the bounded queue shed.
-func cmdBenchServer(args []string) error {
-	fs := flag.NewFlagSet("bench-server", flag.ExitOnError)
-	size := fs.String("size", "tiny", "dataset size: tiny|small|mid|large")
-	seed := fs.Int64("seed", 42, "generator seed")
-	levels := fs.String("levels", "4,32", "comma-separated client concurrency levels")
-	requests := fs.Int("requests", 200, "discovery requests per level")
-	maxInFlight := fs.Int("max-inflight", 4, "server execution slots")
-	queueDepth := fs.Int("queue-depth", 8, "server admission queue depth")
-	out := fs.String("out", "BENCH_server.json", "output JSON path (empty = stdout only)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := flagcheck.All(
-		flagcheck.Positive("requests", *requests),
-		flagcheck.Positive("max-inflight", *maxInFlight),
-		flagcheck.Positive("queue-depth", *queueDepth),
-	); err != nil {
-		return err
-	}
-	var counts []int
-	for _, part := range strings.Split(*levels, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad concurrency level %q (need integers >= 1)", part)
-		}
-		counts = append(counts, n)
-	}
-	cfg := bench.ServerBenchConfig{
-		Levels:      counts,
-		Requests:    *requests,
-		MaxInFlight: *maxInFlight,
-		QueueDepth:  *queueDepth,
-	}
-	results, err := bench.RunServerBench(*size, *seed, cfg)
-	if err != nil {
-		return err
-	}
-	bench.ServerTable(results).Print(os.Stdout)
-	if *out == "" {
-		return bench.WriteServerJSON(os.Stdout, results)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := bench.WriteServerJSON(f, results); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s\n", *out)

@@ -93,10 +93,11 @@ type Engine struct {
 	// stale as data changes, which is exactly their documented trade-off.
 	symbolEngine *keyword.SymbolTableEngine
 
-	// discCache memoizes whole clean discovery runs keyed by annotation
-	// body + focal + options fingerprint. Nil when caching is disabled.
+	// discCache memoizes whole clean discovery runs under their
+	// discoveryKey (annotation body, focal set, the options that shape the
+	// pipeline). Nil when caching is disabled.
 	queryCache *keyword.QueryCache
-	discCache  *cache.LRU[*Discovery]
+	discCache  *cache.LRU[discoveryKey, *Discovery]
 
 	// wal, when non-nil, is the write-ahead log binding: mutations append
 	// a record under the write lock before applying, and fsync (with
@@ -221,7 +222,7 @@ func newWithState(db *Database, repo *MetaRepository, store *AnnotationStore, gr
 		per := opts.Cache.bytes() / 3
 		db.EnableScanCache(per)
 		e.queryCache = keyword.NewQueryCache(per)
-		e.discCache = cache.New[*Discovery](per)
+		e.discCache = cache.NewKeyed[discoveryKey, *Discovery](per)
 	}
 	return e, nil
 }
@@ -564,20 +565,14 @@ func (e *Engine) discover(ctx context.Context, a *Annotation, focal []TupleID, o
 	// Whole-pipeline memoization. Scan budgets force uncached runs (their
 	// results depend on scan order and stats must reflect actual work), and
 	// injected searcher factories are opaque — their behavior cannot be
-	// fingerprinted into a key.
+	// put into a key.
 	useCache := e.discCache != nil && !opts.Cache.Disabled &&
 		opts.SearcherFactory == nil && opts.Budget.MaxSearchedRows == 0
-	var cacheKey string
+	var cacheKey discoveryKey
 	var epoch uint64
 	if useCache {
-		cacheKey = discoveryCacheKey(a.Body, focal, opts, k)
 		home := e.mu.Home(string(a.ID))
-		if !graphDependent(opts) {
-			// Annotation-local runs live in a per-shard epoch domain; the
-			// shard tag keeps entries from ever being probed under another
-			// shard's counter (two annotations can share a body).
-			cacheKey = fmt.Sprintf("s%d|%s", home, cacheKey)
-		}
+		cacheKey = newDiscoveryKey(a.Body, focal, opts, k, home)
 		epoch = e.cacheEpochFor(home, opts)
 		if hit, ok := e.discCache.Get(cacheKey, epoch); ok {
 			trace.FromContext(ctx).Add("discovery_cache_hits", 1)

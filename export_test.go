@@ -1,8 +1,11 @@
 package nebula
 
 import (
+	"fmt"
 	"io"
 	"reflect"
+	"sort"
+	"strings"
 	"time"
 
 	"nebula/internal/snapshot"
@@ -82,4 +85,35 @@ func DiffRestored(a, b *Engine) string {
 		}
 	}
 	return ""
+}
+
+// refDiscoveryKey is the discovery cache's key as it was built while the
+// key was one formatted string, shard tag included. It defines the
+// partition of runs into cache entries that discoveryKey has to reproduce;
+// the differential and fuzz tests in cachekey_test.go hold the two together.
+func refDiscoveryKey(body string, focal []TupleID, opts Options, k, home int) string {
+	var b strings.Builder
+	b.Grow(len(body) + 16*len(focal) + 96)
+	b.WriteString(strings.Join(strings.Fields(body), " "))
+	b.WriteByte(0)
+	ids := make([]string, len(focal))
+	for i, f := range focal {
+		ids[i] = f.String()
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		b.WriteString(id)
+		b.WriteByte(1)
+	}
+	b.WriteByte(0)
+	fmt.Fprintf(&b, "%g|%d|%t|%t|%d|%t|%d|%g|%t|%t|%s|%g|%d|%d|%d|%t|%d",
+		opts.Epsilon, opts.Alpha, opts.SharedExecution, opts.FocalAdjustment,
+		opts.AdjustmentHops, opts.Spreading, k, opts.SpreadingCoverage,
+		opts.RequireStableACG, opts.IncludeRelated, opts.SearchTechnique,
+		opts.SpamFraction, opts.Budget.MaxQueries, opts.Budget.MaxCandidates,
+		opts.Budget.MaxSearchedRows, opts.Plan, opts.TopK)
+	if !graphDependent(opts) {
+		return fmt.Sprintf("s%d|%s", home, b.String())
+	}
+	return b.String()
 }

@@ -205,8 +205,18 @@ func (s *Store) TupleAnnotations(tuple relational.TupleID, filter AttachmentType
 // Focal returns Foc(a) — the tuples the annotation is attached to by true
 // attachments (Definition 3.5).
 func (s *Store) Focal(id ID) []relational.TupleID {
-	var out []relational.TupleID
-	for _, att := range s.byAnnotation[id] {
+	atts := s.byAnnotation[id]
+	n := 0
+	for _, att := range atts {
+		if att.Type == TrueAttachment {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]relational.TupleID, 0, n)
+	for _, att := range atts {
 		if att.Type == TrueAttachment {
 			out = append(out, att.Tuple)
 		}

@@ -42,24 +42,26 @@ func (s *Stats) Add(o Stats) {
 	s.MaxBytes += o.MaxBytes
 }
 
-type entry[V any] struct {
-	key   string
+type entry[K comparable, V any] struct {
+	key   K
 	epoch uint64
 	value V
 	cost  int64
 }
 
 // LRU is a mutex-guarded least-recently-used cache bounded by an
-// approximate byte budget. The zero value is not usable; construct with
-// New. A nil *LRU is safe to use: Get always misses (without counting),
-// Put is a no-op, and Stats returns zeros — callers representing
-// "caching disabled" as a nil cache need no branches.
-type LRU[V any] struct {
+// approximate byte budget. Keys are compared with Go's ==, so a hit never
+// rests on a fingerprint not colliding: the scan and query layers key by
+// string, the discovery layer by a struct. The zero value is not usable;
+// construct with New or NewKeyed. A nil *LRU is safe to use: Get always
+// misses (without counting), Put is a no-op, and Stats returns zeros —
+// callers representing "caching disabled" as a nil cache need no branches.
+type LRU[K comparable, V any] struct {
 	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
 	ll       *list.List // front = most recently used
-	index    map[string]*list.Element
+	index    map[K]*list.Element
 
 	hits          int64
 	misses        int64
@@ -67,23 +69,29 @@ type LRU[V any] struct {
 	invalidations int64
 }
 
-// New returns an LRU bounded to approximately maxBytes of cached value
-// cost (as reported by callers on Put). maxBytes must be positive.
-func New[V any](maxBytes int64) *LRU[V] {
+// New returns a string-keyed LRU bounded to approximately maxBytes of
+// cached value cost (as reported by callers on Put). maxBytes must be
+// positive.
+func New[V any](maxBytes int64) *LRU[string, V] {
+	return NewKeyed[string, V](maxBytes)
+}
+
+// NewKeyed is New for any comparable key type.
+func NewKeyed[K comparable, V any](maxBytes int64) *LRU[K, V] {
 	if maxBytes <= 0 {
 		maxBytes = 1
 	}
-	return &LRU[V]{
+	return &LRU[K, V]{
 		maxBytes: maxBytes,
 		ll:       list.New(),
-		index:    make(map[string]*list.Element),
+		index:    make(map[K]*list.Element),
 	}
 }
 
 // Get returns the value stored under key if its epoch matches. An entry
 // stored under a different epoch is stale: it is removed, counted as an
 // invalidation, and the lookup reports a miss.
-func (c *LRU[V]) Get(key string, epoch uint64) (V, bool) {
+func (c *LRU[K, V]) Get(key K, epoch uint64) (V, bool) {
 	var zero V
 	if c == nil {
 		return zero, false
@@ -95,7 +103,7 @@ func (c *LRU[V]) Get(key string, epoch uint64) (V, bool) {
 		c.misses++
 		return zero, false
 	}
-	ent := el.Value.(*entry[V])
+	ent := el.Value.(*entry[K, V])
 	if ent.epoch != epoch {
 		c.removeLocked(el)
 		c.invalidations++
@@ -111,7 +119,7 @@ func (c *LRU[V]) Get(key string, epoch uint64) (V, bool) {
 // least-recently-used entries until the byte budget holds. An entry
 // whose cost alone exceeds the budget is not stored. Storing an
 // existing key replaces it.
-func (c *LRU[V]) Put(key string, epoch uint64, value V, cost int64) {
+func (c *LRU[K, V]) Put(key K, epoch uint64, value V, cost int64) {
 	if c == nil {
 		return
 	}
@@ -126,7 +134,7 @@ func (c *LRU[V]) Put(key string, epoch uint64, value V, cost int64) {
 	if el, ok := c.index[key]; ok {
 		c.removeLocked(el)
 	}
-	el := c.ll.PushFront(&entry[V]{key: key, epoch: epoch, value: value, cost: cost})
+	el := c.ll.PushFront(&entry[K, V]{key: key, epoch: epoch, value: value, cost: cost})
 	c.index[key] = el
 	c.bytes += cost
 	c.evictLocked()
@@ -134,7 +142,7 @@ func (c *LRU[V]) Put(key string, epoch uint64, value V, cost int64) {
 
 // SetMaxBytes adjusts the byte budget, evicting LRU entries if the new
 // budget is smaller than current occupancy. Budgets below 1 clamp to 1.
-func (c *LRU[V]) SetMaxBytes(maxBytes int64) {
+func (c *LRU[K, V]) SetMaxBytes(maxBytes int64) {
 	if c == nil {
 		return
 	}
@@ -148,7 +156,7 @@ func (c *LRU[V]) SetMaxBytes(maxBytes int64) {
 }
 
 // Stats returns a snapshot of the cache counters and occupancy.
-func (c *LRU[V]) Stats() Stats {
+func (c *LRU[K, V]) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
@@ -166,7 +174,7 @@ func (c *LRU[V]) Stats() Stats {
 }
 
 // Len returns the current number of entries.
-func (c *LRU[V]) Len() int {
+func (c *LRU[K, V]) Len() int {
 	if c == nil {
 		return 0
 	}
@@ -175,7 +183,7 @@ func (c *LRU[V]) Len() int {
 	return c.ll.Len()
 }
 
-func (c *LRU[V]) evictLocked() {
+func (c *LRU[K, V]) evictLocked() {
 	for c.bytes > c.maxBytes {
 		el := c.ll.Back()
 		if el == nil {
@@ -186,8 +194,8 @@ func (c *LRU[V]) evictLocked() {
 	}
 }
 
-func (c *LRU[V]) removeLocked(el *list.Element) {
-	ent := el.Value.(*entry[V])
+func (c *LRU[K, V]) removeLocked(el *list.Element) {
+	ent := el.Value.(*entry[K, V])
 	c.ll.Remove(el)
 	delete(c.index, ent.key)
 	c.bytes -= ent.cost

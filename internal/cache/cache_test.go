@@ -98,7 +98,7 @@ func TestCacheSetMaxBytesShrinkEvicts(t *testing.T) {
 }
 
 func TestCacheNilSafe(t *testing.T) {
-	var c *LRU[int]
+	var c *LRU[string, int]
 	if _, ok := c.Get("a", 1); ok {
 		t.Fatal("nil cache must miss")
 	}
@@ -130,5 +130,36 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	st := c.Stats()
 	if st.Entries == 0 || st.Bytes == 0 {
 		t.Fatalf("expected surviving entries: %+v", st)
+	}
+}
+
+// TestCacheStructKey: a comparable struct is a key as it stands. Two keys
+// hit the same entry exactly when Go's == holds between them, field by
+// field, and eviction and invalidation find the entry under it again.
+func TestCacheStructKey(t *testing.T) {
+	type key struct {
+		body string
+		k    int
+		on   bool
+	}
+	c := NewKeyed[key, string](64)
+	c.Put(key{"a b", 1, true}, 1, "first", 16)
+	c.Put(key{"a b", 2, true}, 1, "second", 16)
+	c.Put(key{"a b", 1, false}, 1, "third", 16)
+	if v, ok := c.Get(key{"a" + " b", 1, true}, 1); !ok || v != "first" {
+		t.Fatalf("equal key built apart: got %q ok=%v, want first", v, ok)
+	}
+	if _, ok := c.Get(key{"a b", 3, true}, 1); ok {
+		t.Fatal("a key differing in one field must miss")
+	}
+	if _, ok := c.Get(key{"a b", 2, true}, 2); ok {
+		t.Fatal("stale epoch must miss")
+	}
+	c.SetMaxBytes(16)
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != 16 || st.Invalidations != 1 || st.Evictions != 1 {
+		t.Fatalf("after invalidating one entry and evicting to one: %+v", st)
+	}
+	if v, ok := c.Get(key{"a b", 1, true}, 1); !ok || v != "first" {
+		t.Fatalf("most recently used entry should survive: got %q ok=%v", v, ok)
 	}
 }

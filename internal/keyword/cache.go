@@ -23,8 +23,8 @@ import (
 // per-run keyword engines, but only attached when the search runs over
 // the full database — a focal-spreading miniDB would poison keys.
 type QueryCache struct {
-	results  *cache.LRU[[]*relational.Row]
-	mappings *cache.LRU[[]mappingOption]
+	results  *cache.LRU[string, []*relational.Row]
+	mappings *cache.LRU[string, []mappingOption]
 }
 
 // NewQueryCache builds a QueryCache bounded to approximately maxBytes,

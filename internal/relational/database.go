@@ -18,7 +18,7 @@ type Database struct {
 	order  []string // creation order (declared spellings), for deterministic iteration
 	// scanCache, when enabled, memoizes full-scan query results keyed by
 	// the query fingerprint at the owning table's epoch. nil = disabled.
-	scanCache *cache.LRU[[]*Row]
+	scanCache *cache.LRU[string, []*Row]
 	// rowHook observes committed row mutations on every table (current
 	// and future) once installed; see SetRowMutationHook.
 	rowHook func(RowMutation)

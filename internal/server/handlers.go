@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"nebula"
@@ -172,25 +174,60 @@ type healthResponse struct {
 
 // ---- helpers ---------------------------------------------------------------
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+// jsonContentType is the Content-Type header value of every JSON response.
+// Responses share the one slice; net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
+// responseEncoder is a response buffer with the JSON encoder that fills it.
+type responseEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
 }
 
-func writeError(w http.ResponseWriter, code int, reason, msg string) {
-	writeJSON(w, code, errorResponse{Error: msg, Reason: reason})
+var encoderPool = sync.Pool{New: func() any {
+	e := new(responseEncoder)
+	e.enc = json.NewEncoder(&e.buf)
+	return e
+}}
+
+// maxPooledResponse is the largest response buffer that goes back to the
+// pool: one huge batch reply must not pin its buffer for good.
+const maxPooledResponse = 64 << 10
+
+// writeJSON encodes v as compact JSON (one line; `| jq .` for humans) into
+// a pooled buffer and only then writes status and body, in one Write. A
+// value encoding/json refuses (a NaN confidence, say) therefore reaches the
+// client as a 500 `internal` with nothing sent before it, not as a 200 cut
+// short; the request counter records the 500.
+func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	e := encoderPool.Get().(*responseEncoder)
+	e.buf.Reset()
+	if err := e.enc.Encode(v); err != nil {
+		s.cfg.Logf("server: encoding a %T response: %v", v, err)
+		e.buf.Reset()
+		code = http.StatusInternalServerError
+		// An errorResponse is two strings: this encode cannot fail.
+		_ = e.enc.Encode(errorResponse{Error: "response could not be encoded", Reason: "internal"})
+	}
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(code)
+	_, _ = w.Write(e.buf.Bytes()) // a failed write means the client is gone
+	if e.buf.Cap() <= maxPooledResponse {
+		encoderPool.Put(e)
+	}
+}
+
+func (s *Server) writeError(w http.ResponseWriter, code int, reason, msg string) {
+	s.writeJSON(w, code, errorResponse{Error: msg, Reason: reason})
 }
 
 // decodeJSON parses a request body, answering 400 on malformed or
 // unexpected input. It reports whether decoding succeeded.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_json", fmt.Sprintf("malformed request body: %v", err))
+		s.writeError(w, http.StatusBadRequest, "bad_json", fmt.Sprintf("malformed request body: %v", err))
 		return false
 	}
 	return true
@@ -317,7 +354,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, resp)
+	s.writeJSON(w, code, resp)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -336,18 +373,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // annotation with its true attachments.
 func (s *Server) handleAddAnnotation(w http.ResponseWriter, r *http.Request) {
 	var req annotationRequest
-	if !decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if req.ID == "" || req.Body == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "id and body are required")
+		s.writeError(w, http.StatusBadRequest, "bad_request", "id and body are required")
 		return
 	}
 	attach := make([]nebula.TupleID, 0, len(req.AttachTo))
 	for _, ref := range req.AttachTo {
 		t, err := parseTupleID(ref)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_tuple", err.Error())
+			s.writeError(w, http.StatusBadRequest, "bad_tuple", err.Error())
 			return
 		}
 		attach = append(attach, t)
@@ -359,10 +396,10 @@ func (s *Server) handleAddAnnotation(w http.ResponseWriter, r *http.Request) {
 		Kind:   req.Kind,
 	}, attach)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "rejected", err.Error())
+		s.writeError(w, http.StatusUnprocessableEntity, "rejected", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"id": req.ID})
+	s.writeJSON(w, http.StatusCreated, map[string]string{"id": req.ID})
 }
 
 // handleAddAnnotationAsync is the streaming submit path: the annotation and
@@ -372,18 +409,18 @@ func (s *Server) handleAddAnnotation(w http.ResponseWriter, r *http.Request) {
 // backpressure contract.
 func (s *Server) handleAddAnnotationAsync(w http.ResponseWriter, r *http.Request) {
 	var req asyncAnnotationRequest
-	if !decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if req.ID == "" || req.Body == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "id and body are required")
+		s.writeError(w, http.StatusBadRequest, "bad_request", "id and body are required")
 		return
 	}
 	attach := make([]nebula.TupleID, 0, len(req.AttachTo))
 	for _, ref := range req.AttachTo {
 		t, err := parseTupleID(ref)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_tuple", err.Error())
+			s.writeError(w, http.StatusBadRequest, "bad_tuple", err.Error())
 			return
 		}
 		attach = append(attach, t)
@@ -401,7 +438,7 @@ func (s *Server) handleAddAnnotationAsync(w http.ResponseWriter, r *http.Request
 		// IngestStats read: between enqueue and a post-hoc read, concurrent
 		// submissions or drains could have moved the queue, and the 202
 		// would report a state this job was never actually in.
-		writeJSON(w, http.StatusAccepted, map[string]any{
+		s.writeJSON(w, http.StatusAccepted, map[string]any{
 			"id":             req.ID,
 			"seq":            adm.Seq,
 			"priority":       adm.Priority,
@@ -412,11 +449,11 @@ func (s *Server) handleAddAnnotationAsync(w http.ResponseWriter, r *http.Request
 	case errors.Is(err, nebula.ErrIngestQueueFull):
 		s.metrics.observeRejection("ingest_queue_full")
 		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		writeError(w, http.StatusTooManyRequests, "ingest_queue_full", err.Error())
+		s.writeError(w, http.StatusTooManyRequests, "ingest_queue_full", err.Error())
 	case errors.Is(err, nebula.ErrIngestDisabled):
-		writeError(w, http.StatusConflict, "ingest_disabled", err.Error())
+		s.writeError(w, http.StatusConflict, "ingest_disabled", err.Error())
 	default:
-		writeError(w, http.StatusUnprocessableEntity, "rejected", err.Error())
+		s.writeError(w, http.StatusUnprocessableEntity, "rejected", err.Error())
 	}
 }
 
@@ -439,14 +476,14 @@ func (s *Server) handleIngestStatus(w http.ResponseWriter, r *http.Request) {
 			WaitingMS:  now.Sub(j.EnqueuedAt).Milliseconds(),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleIngestFlush drains queued jobs synchronously — the operator's
 // "make it fresh now" verb. Max bounds one batch; 0 flushes everything.
 func (s *Server) handleIngestFlush(w http.ResponseWriter, r *http.Request) {
 	var req ingestFlushRequest
-	if !decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	eng := s.Engine()
@@ -462,16 +499,16 @@ func (s *Server) handleIngestFlush(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 	case errors.Is(err, nebula.ErrIngestDisabled):
-		writeError(w, http.StatusConflict, "ingest_disabled", err.Error())
+		s.writeError(w, http.StatusConflict, "ingest_disabled", err.Error())
 		return
 	case errors.Is(err, nebula.ErrCancelled), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// Interrupted flush: unprocessed jobs are back in the queue; report
 		// what completed.
 	default:
-		writeError(w, http.StatusInternalServerError, "flush_failed", err.Error())
+		s.writeError(w, http.StatusInternalServerError, "flush_failed", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, ingestFlushResponse{
+	s.writeJSON(w, http.StatusOK, ingestFlushResponse{
 		Popped:   res.Popped,
 		Drained:  res.Drained,
 		Requeued: res.Requeued,
@@ -483,15 +520,15 @@ func (s *Server) handleIngestFlush(w http.ResponseWriter, r *http.Request) {
 // runDiscover is the shared core of the three single-annotation endpoints.
 func (s *Server) runDiscover(w http.ResponseWriter, r *http.Request, kind string) {
 	var req discoverRequest
-	if !decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if req.ID == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "id is required")
+		s.writeError(w, http.StatusBadRequest, "bad_request", "id is required")
 		return
 	}
 	if err := req.Options.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_options", err.Error())
+		s.writeError(w, http.StatusBadRequest, "bad_options", err.Error())
 		return
 	}
 	eng := s.Engine()
@@ -532,18 +569,18 @@ func (s *Server) runDiscover(w http.ResponseWriter, r *http.Request, kind string
 		if kind == "process" {
 			resp.Outcome = outcomeToJSON(outcome)
 		}
-		writeJSON(w, http.StatusOK, resp)
+		s.writeJSON(w, http.StatusOK, resp)
 	case errors.Is(err, nebula.ErrUnknownAnnotation):
-		writeError(w, http.StatusNotFound, "unknown_annotation", err.Error())
+		s.writeError(w, http.StatusNotFound, "unknown_annotation", err.Error())
 	case errors.Is(err, nebula.ErrBudgetExceeded), errors.Is(err, nebula.ErrCancelled):
 		// Governed interruption is not a server failure: the partial
 		// results ship with HTTP 200 and the body says why they are
 		// partial, mirroring the CLI's degraded-run reporting.
-		writeJSON(w, http.StatusOK, discoveryToJSON(req.ID, disc, err))
+		s.writeJSON(w, http.StatusOK, discoveryToJSON(req.ID, disc, err))
 	case errors.Is(err, nebula.ErrSpamAnnotation):
-		writeJSON(w, http.StatusUnprocessableEntity, discoveryToJSON(req.ID, disc, err))
+		s.writeJSON(w, http.StatusUnprocessableEntity, discoveryToJSON(req.ID, disc, err))
 	default:
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		s.writeError(w, http.StatusInternalServerError, "internal", err.Error())
 	}
 }
 
@@ -561,15 +598,15 @@ func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDiscoverBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if !decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.IDs) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "ids is required")
+		s.writeError(w, http.StatusBadRequest, "bad_request", "ids is required")
 		return
 	}
 	if err := req.Options.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_options", err.Error())
+		s.writeError(w, http.StatusBadRequest, "bad_options", err.Error())
 		return
 	}
 	ids := make([]nebula.AnnotationID, len(req.IDs))
@@ -595,7 +632,7 @@ func (s *Server) handleDiscoverBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results[i] = one
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handlePending(w http.ResponseWriter, r *http.Request) {
@@ -606,7 +643,7 @@ func (s *Server) handlePending(w http.ResponseWriter, r *http.Request) {
 	} else {
 		tasks = eng.PendingTasks()
 	}
-	writeJSON(w, http.StatusOK, pendingResponse{Tasks: tasksJSON(tasks)})
+	s.writeJSON(w, http.StatusOK, pendingResponse{Tasks: tasksJSON(tasks)})
 }
 
 // handleVerdict resolves one pending verification task — the wire form of
@@ -615,7 +652,7 @@ func (s *Server) handleVerdict(accept bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		vid, err := strconv.ParseInt(r.PathValue("vid"), 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_vid", fmt.Sprintf("vid %q is not an integer", r.PathValue("vid")))
+			s.writeError(w, http.StatusBadRequest, "bad_vid", fmt.Sprintf("vid %q is not an integer", r.PathValue("vid")))
 			return
 		}
 		eng := s.Engine()
@@ -625,20 +662,20 @@ func (s *Server) handleVerdict(accept bool) http.HandlerFunc {
 			err = eng.RejectAttachment(vid)
 		}
 		if err != nil {
-			writeError(w, http.StatusNotFound, "unknown_task", err.Error())
+			s.writeError(w, http.StatusNotFound, "unknown_task", err.Error())
 			return
 		}
 		verdict := "rejected"
 		if accept {
 			verdict = "accepted"
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"vid": vid, "verdict": verdict})
+		s.writeJSON(w, http.StatusOK, map[string]any{"vid": vid, "verdict": verdict})
 	}
 }
 
 func (s *Server) handleSnapshotSave(w http.ResponseWriter, r *http.Request) {
 	var req snapshotRequest
-	if !decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	path := req.Path
@@ -646,12 +683,12 @@ func (s *Server) handleSnapshotSave(w http.ResponseWriter, r *http.Request) {
 		path = s.cfg.SnapshotPath
 	}
 	if path == "" {
-		writeError(w, http.StatusBadRequest, "no_path", "no snapshot path given or configured")
+		s.writeError(w, http.StatusBadRequest, "no_path", "no snapshot path given or configured")
 		return
 	}
 	eng := s.Engine()
 	if err := eng.SaveSnapshotFile(path); err != nil {
-		writeError(w, http.StatusInternalServerError, "snapshot_failed", err.Error())
+		s.writeError(w, http.StatusInternalServerError, "snapshot_failed", err.Error())
 		return
 	}
 	s.metrics.observeSnapshot(false)
@@ -663,12 +700,12 @@ func (s *Server) handleSnapshotSave(w http.ResponseWriter, r *http.Request) {
 	if info, err := os.Stat(path); err == nil {
 		resp.Bytes = info.Size()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleSnapshotLoad(w http.ResponseWriter, r *http.Request) {
 	var req snapshotRequest
-	if !decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	path := req.Path
@@ -676,28 +713,28 @@ func (s *Server) handleSnapshotLoad(w http.ResponseWriter, r *http.Request) {
 		path = s.cfg.SnapshotPath
 	}
 	if path == "" {
-		writeError(w, http.StatusBadRequest, "no_path", "no snapshot path given or configured")
+		s.writeError(w, http.StatusBadRequest, "no_path", "no snapshot path given or configured")
 		return
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "no_snapshot", err.Error())
+		s.writeError(w, http.StatusNotFound, "no_snapshot", err.Error())
 		return
 	}
 	defer f.Close()
 	restored, err := nebula.RestoreEngine(f, s.cfg.ConfigureMeta, s.Engine().Options())
 	if err != nil {
 		if errors.Is(err, nebula.ErrSnapshotCorrupt) {
-			writeError(w, http.StatusUnprocessableEntity, "snapshot_corrupt", err.Error())
+			s.writeError(w, http.StatusUnprocessableEntity, "snapshot_corrupt", err.Error())
 			return
 		}
-		writeError(w, http.StatusInternalServerError, "restore_failed", err.Error())
+		s.writeError(w, http.StatusInternalServerError, "restore_failed", err.Error())
 		return
 	}
 	s.setEngine(restored)
 	s.metrics.observeSnapshot(true)
 	stats := restored.RestoreStats()
-	writeJSON(w, http.StatusOK, snapshotResponse{
+	s.writeJSON(w, http.StatusOK, snapshotResponse{
 		Path:        path,
 		Annotations: restored.Store().Len(),
 		Tuples:      restored.DB().TotalRows(),

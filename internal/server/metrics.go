@@ -1,8 +1,10 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -58,7 +60,7 @@ const recentLatencyWindow = 32
 type metrics struct {
 	mu sync.Mutex
 
-	requests  map[string]int64 // "endpoint code" → count
+	requests  map[requestKey]int64
 	latencies map[string]*histogram
 	rejected  map[string]int64 // reason → count
 
@@ -94,9 +96,16 @@ type metrics struct {
 	snapshotLoads int64
 }
 
+// requestKey labels one nebula_requests_total series. The labels are
+// rendered only when /metrics is scraped, never while a request holds mu.
+type requestKey struct {
+	endpoint string
+	code     int
+}
+
 func newMetrics() *metrics {
 	return &metrics{
-		requests:  make(map[string]int64),
+		requests:  make(map[requestKey]int64),
 		latencies: make(map[string]*histogram),
 		rejected:  make(map[string]int64),
 	}
@@ -105,7 +114,7 @@ func newMetrics() *metrics {
 func (m *metrics) observeRequest(endpoint string, code int, elapsed time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.requests[fmt.Sprintf("%s %d", endpoint, code)]++
+	m.requests[requestKey{endpoint, code}]++
 	h := m.latencies[endpoint]
 	if h == nil {
 		h = newHistogram()
@@ -217,9 +226,16 @@ func (m *metrics) render(w io.Writer, queued, inflight int, draining bool) {
 	defer m.mu.Unlock()
 
 	fmt.Fprintf(w, "# TYPE nebula_requests_total counter\n")
-	for _, k := range sortedKeys(m.requests) {
-		endpoint, code, _ := strings.Cut(k, " ")
-		fmt.Fprintf(w, "nebula_requests_total{endpoint=%q,code=%q} %d\n", endpoint, code, m.requests[k])
+	requests := make([]requestKey, 0, len(m.requests))
+	for k := range m.requests {
+		requests = append(requests, k)
+	}
+	// By endpoint, then code: the order of the exposition text's series.
+	slices.SortFunc(requests, func(a, b requestKey) int {
+		return cmp.Or(strings.Compare(a.endpoint, b.endpoint), cmp.Compare(a.code, b.code))
+	})
+	for _, k := range requests {
+		fmt.Fprintf(w, "nebula_requests_total{endpoint=%q,code=\"%d\"} %d\n", k.endpoint, k.code, m.requests[k])
 	}
 
 	fmt.Fprintf(w, "# TYPE nebula_rejected_total counter\n")

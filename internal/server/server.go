@@ -171,7 +171,8 @@ func (s *Server) work(pattern string, h http.HandlerFunc) {
 	}
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
+		rec := recorderPool.Get().(*statusRecorder)
+		*rec = statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		defer func() {
 			if p := recover(); p != nil {
 				// One poisoned request must not take down the serving
@@ -179,12 +180,14 @@ func (s *Server) work(pattern string, h http.HandlerFunc) {
 				s.metrics.observePanic()
 				s.cfg.Logf("server: panic on %s: %v\n%s", endpoint, p, debug.Stack())
 				if !rec.wrote {
-					writeError(rec, http.StatusInternalServerError, "internal", "internal error")
+					s.writeError(rec, http.StatusInternalServerError, "internal", "internal error")
 				}
 			}
 			elapsed := time.Since(start)
 			s.metrics.observeRequest(endpoint, rec.code, elapsed)
 			s.logRequest(endpoint, r, rec, elapsed)
+			*rec = statusRecorder{} // drop the writer and the trace
+			recorderPool.Put(rec)
 		}()
 
 		ctx := r.Context()
@@ -266,20 +269,20 @@ func (s *Server) reject(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrDraining):
 		s.metrics.observeRejection("draining")
 		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining; retry against another replica")
+		s.writeError(w, http.StatusServiceUnavailable, "draining", "server is draining; retry against another replica")
 	case errors.Is(err, ErrQueueFull):
 		s.metrics.observeRejection("queue_full")
 		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		writeError(w, http.StatusTooManyRequests, "queue_full", "admission queue full; retry with backoff")
+		s.writeError(w, http.StatusTooManyRequests, "queue_full", "admission queue full; retry with backoff")
 	case errors.Is(err, ErrConnLimit):
 		s.metrics.observeRejection("conn_limit")
 		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		writeError(w, http.StatusTooManyRequests, "conn_limit", "per-connection in-flight limit reached")
+		s.writeError(w, http.StatusTooManyRequests, "conn_limit", "per-connection in-flight limit reached")
 	default:
 		// The client abandoned the request while queued; nobody is
 		// listening, but complete the exchange for the access log.
 		s.metrics.observeRejection("client_gone")
-		writeError(w, 499, "client_gone", err.Error())
+		s.writeError(w, 499, "client_gone", err.Error())
 	}
 }
 
@@ -324,13 +327,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) Draining() bool { return s.admission.isDraining() }
 
 // statusRecorder captures the response code for metrics, plus the request
-// trace (stashed by the discovery handlers) for the slow-request log.
+// trace (stashed by the discovery handlers) for the slow-request log. One
+// lives from a request's admission to its log line, then returns to the
+// pool; no handler keeps its writer past its own return.
 type statusRecorder struct {
 	http.ResponseWriter
 	code  int
 	wrote bool
 	trace *nebula.TraceNode
 }
+
+var recorderPool = sync.Pool{New: func() any { return new(statusRecorder) }}
 
 func (r *statusRecorder) WriteHeader(code int) {
 	r.code = code

@@ -2,8 +2,11 @@ package nebula_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -13,6 +16,7 @@ import (
 	"nebula/internal/keyword"
 	"nebula/internal/raceflag"
 	"nebula/internal/relational"
+	"nebula/internal/server"
 	"nebula/internal/sigmap"
 	"nebula/internal/textutil"
 	"nebula/internal/workload"
@@ -278,5 +282,101 @@ func BenchmarkTokenize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		matcherSink += len(textutil.Tokenize(texts[i%len(texts)]))
+	}
+}
+
+// hitBed is a D_mid engine shaped like the end-to-end benchmark's
+// discover_hot one (defaults, four shards) with the discoveries of ids
+// already in the cache: the serving path's repeat-read case.
+func hitBed(tb testing.TB, size string, n int) (*nebula.Engine, []nebula.AnnotationID) {
+	tb.Helper()
+	env, err := bench.FreshEnv(size, 42)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ds := env.Dataset
+	opts := nebula.DefaultOptions()
+	opts.Shards = 4
+	e, err := nebula.NewWithState(ds.DB, ds.Meta, ds.Store, ds.Graph, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ids := make([]nebula.AnnotationID, min(n, len(ds.Base)))
+	for i := range ids {
+		ids[i] = ds.Base[i].Ann.ID
+		if _, err := e.Discover(ids[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return e, ids
+}
+
+// BenchmarkDiscoverHit measures Engine.DiscoverRequest answered from the
+// discovery cache on D_mid: the engine's share of a repeat read.
+func BenchmarkDiscoverHit(b *testing.B) {
+	e, ids := hitBed(b, "mid", 1000)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := e.DiscoverRequest(ctx, ids[i%len(ids)], nebula.RequestOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		matcherSink += len(d.Candidates)
+	}
+}
+
+// BenchmarkServeDiscoverHit measures the same repeat read through the
+// POST /v1/discover handler (admission, decode, engine, encode, counters)
+// into an httptest.ResponseRecorder: the server's share of a round trip,
+// without net/http's connection handling and the client.
+func BenchmarkServeDiscoverHit(b *testing.B) {
+	e, ids := hitBed(b, "mid", 1000)
+	srv, err := server.New(server.Config{Engine: e, Logf: func(string, ...any) {}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	payloads := make([]string, len(ids))
+	for i, id := range ids {
+		payloads[i] = fmt.Sprintf(`{"id":%q}`, id)
+	}
+	body := strings.NewReader("")
+	req := httptest.NewRequest("POST", "/v1/discover", nil)
+	req.Body = io.NopCloser(body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body.Reset(payloads[i%len(payloads)])
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != 200 {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		matcherSink += rec.Body.Len()
+	}
+}
+
+// TestCacheHitAllocations is the allocation budget of a discovery answered
+// from the cache: the focal list, its canonical string in the key, the
+// returned Discovery and its own copy of the candidates. A fifth allocation
+// means the hit path has started to rebuild something per request.
+func TestCacheHitAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	e, ids := hitBed(t, "tiny", 50)
+	ctx := context.Background()
+	for _, id := range ids {
+		allocs := testing.AllocsPerRun(50, func() {
+			d, err := e.DiscoverRequest(ctx, id, nebula.RequestOptions{})
+			if err != nil || d.ExecStats.Exec.CacheHits != 1 {
+				t.Fatalf("discover %s: not a cache hit (err %v)", id, err)
+			}
+		})
+		if allocs > 4 {
+			t.Errorf("cache hit on %s: %v allocations, want at most 4", id, allocs)
+		}
 	}
 }
