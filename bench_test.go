@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (§8). Each BenchmarkFigNN target wraps the corresponding harness entry in
-// internal/bench; the table is printed once per run so that
+// internal/experiment; the table is printed once per run so that
 // `go test -bench=. -benchmem | tee bench_output.txt` captures both the
 // figures' rows and the machine cost of producing them.
 //
@@ -14,7 +14,7 @@ import (
 	"sync"
 	"testing"
 
-	"nebula/internal/bench"
+	"nebula/internal/experiment"
 )
 
 const benchSeed = 42
@@ -26,24 +26,24 @@ func benchSize() string {
 	return "small"
 }
 
-func benchEnv(b *testing.B) *bench.Env {
+func benchEnv(b *testing.B) *experiment.Env {
 	b.Helper()
-	env, err := bench.LoadEnv(benchSize(), benchSeed)
+	env, err := experiment.LoadEnv(benchSize(), benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return env
 }
 
-func benchEnvs(b *testing.B) []*bench.Env {
+func benchEnvs(b *testing.B) []*experiment.Env {
 	b.Helper()
 	sizes := []string{benchSize()}
 	if os.Getenv("NEBULA_BENCH_ALL_SIZES") == "1" {
-		sizes = bench.DatasetSizes
+		sizes = experiment.DatasetSizes
 	}
-	var envs []*bench.Env
+	var envs []*experiment.Env
 	for _, s := range sizes {
-		env, err := bench.LoadEnv(s, benchSeed)
+		env, err := experiment.LoadEnv(s, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,7 +56,7 @@ var printOnce sync.Map
 
 // printTables prints the tables once per benchmark name, keeping repeated
 // b.N iterations quiet.
-func printTables(name string, tables ...*bench.Table) {
+func printTables(name string, tables ...*experiment.Table) {
 	if _, loaded := printOnce.LoadOrStore(name, true); loaded {
 		return
 	}
@@ -72,9 +72,9 @@ func BenchmarkFig11QueryGeneration(b *testing.B) {
 	env := benchEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := bench.Fig11a(env)
-		bt := bench.Fig11b(env)
-		c := bench.Fig11c(env)
+		a := experiment.Fig11a(env)
+		bt := experiment.Fig11b(env)
+		c := experiment.Fig11c(env)
 		if i == 0 {
 			b.StopTimer()
 			printTables(b.Name(), a, bt, c)
@@ -90,8 +90,8 @@ func BenchmarkFig12Execution(b *testing.B) {
 	envs := benchEnvs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := bench.Fig12a(envs, false)
-		bt := bench.Fig12b(envs, false)
+		a := experiment.Fig12a(envs, false)
+		bt := experiment.Fig12b(envs, false)
 		if i == 0 {
 			b.StopTimer()
 			printTables(b.Name(), a, bt)
@@ -106,7 +106,7 @@ func BenchmarkFig13Sharing(b *testing.B) {
 	envs := benchEnvs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := bench.Fig13(envs)
+		t := experiment.Fig13(envs)
 		if i == 0 {
 			b.StopTimer()
 			printTables(b.Name(), t)
@@ -121,8 +121,8 @@ func BenchmarkFig14FocalSpreading(b *testing.B) {
 	env := benchEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := bench.Fig14a(env)
-		bt := bench.Fig14b(env)
+		a := experiment.Fig14a(env)
+		bt := experiment.Fig14b(env)
 		if i == 0 {
 			b.StopTimer()
 			printTables(b.Name(), a, bt)
@@ -137,7 +137,7 @@ func BenchmarkFig15Assessment(b *testing.B) {
 	env := benchEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig15a(env, true)
+		t, err := experiment.Fig15a(env, true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func BenchmarkFig15NoExperts(b *testing.B) {
 	env := benchEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := bench.Fig15b(env)
+		t := experiment.Fig15b(env)
 		if i == 0 {
 			b.StopTimer()
 			printTables(b.Name(), t)
@@ -170,7 +170,7 @@ func BenchmarkNaiveAssessment(b *testing.B) {
 	env := benchEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := bench.NaiveAssessment(env)
+		t := experiment.NaiveAssessment(env)
 		if i == 0 {
 			b.StopTimer()
 			printTables(b.Name(), t)
@@ -184,7 +184,7 @@ func BenchmarkHopProfile(b *testing.B) {
 	env := benchEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := bench.HopProfileTable(env)
+		t := experiment.HopProfileTable(env)
 		if i == 0 {
 			b.StopTimer()
 			printTables(b.Name(), t)
@@ -200,9 +200,9 @@ func BenchmarkAblations(b *testing.B) {
 	env := benchEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := bench.AblationContextAdjustment(env)
-		f := bench.AblationFocalAdjustment(env)
-		s := bench.AblationSearchTechnique(env)
+		c := experiment.AblationContextAdjustment(env)
+		f := experiment.AblationFocalAdjustment(env)
+		s := experiment.AblationSearchTechnique(env)
 		if i == 0 {
 			b.StopTimer()
 			printTables(b.Name(), c, f, s)
@@ -216,7 +216,7 @@ func BenchmarkAblations(b *testing.B) {
 func BenchmarkDatasetGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// A distinct seed defeats the env cache so generation is measured.
-		if _, err := bench.LoadEnv("tiny", int64(1000+i)); err != nil {
+		if _, err := experiment.LoadEnv("tiny", int64(1000+i)); err != nil {
 			b.Fatal(err)
 		}
 	}

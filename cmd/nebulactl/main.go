@@ -13,11 +13,6 @@
 //	                     [--parallelism N] [--cache on|off|bytes]
 //	nebulactl wal-info   --wal DIR [--json]
 //	nebulactl checkpoint --wal DIR --snapshot FILE [--size tiny] [--seed 42]
-//	nebulactl bench-wal  --size tiny --writers 4 --mutations 400 --out BENCH_wal.json
-//	nebulactl bench-parallel --size large --workers 2,4,8 --rounds 3 --out BENCH_parallel.json
-//	nebulactl bench-cache --sizes small,mid --rounds 3 --out BENCH_cache.json
-//	nebulactl bench-trace --size small --rounds 3 --out BENCH_trace.json
-//	nebulactl bench-stream --size tiny --mutations 24 --drain-every 4 --out BENCH_stream.json
 //	nebulactl demo
 package main
 
@@ -26,13 +21,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"nebula"
-	"nebula/internal/bench"
+	"nebula/internal/experiment"
 	"nebula/internal/flagcheck"
 	"nebula/internal/meta"
+	"nebula/internal/workload"
 )
 
 func main() {
@@ -60,24 +54,6 @@ func main() {
 		err = cmdWALInfo(os.Args[2:])
 	case "checkpoint":
 		err = cmdCheckpoint(os.Args[2:])
-	case "bench-wal":
-		err = cmdBenchWAL(os.Args[2:])
-	case "bench-parallel":
-		err = cmdBenchParallel(os.Args[2:])
-	case "bench-plan":
-		err = cmdBenchPlan(os.Args[2:])
-	case "bench-cache":
-		err = cmdBenchCache(os.Args[2:])
-	case "bench-trace":
-		err = cmdBenchTrace(os.Args[2:])
-	case "bench-stream":
-		err = cmdBenchStream(os.Args[2:])
-	case "bench-shard":
-		err = cmdBenchShard(os.Args[2:])
-	case "bench-store":
-		err = cmdBenchStore(os.Args[2:])
-	case "bench-scan":
-		err = cmdBenchScan(os.Args[2:])
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -96,8 +72,9 @@ func usage() {
 
 commands:
   generate    build a synthetic dataset and print its summary
-  experiment  run a figure's experiment harness (11a..15b, naive, profile,
-              ablation-context, ablation-focal, all)
+  experiment  run a figure's experiment harness (11a..15b, 18, naive,
+              profile, ablation-context, ablation-focal, ablation-technique,
+              all)
   discover    walk one workload annotation through the pipeline
   demo        run the paper's Figure 1 running example
   sql         interactive extended-SQL shell over a generated dataset
@@ -106,40 +83,18 @@ commands:
   wal-info    inspect a write-ahead log directory: segments, records, torn tails
   checkpoint  fold a WAL's durable history into a snapshot offline and
               truncate the log (run only while no daemon holds the log)
-  bench-wal   measure mutation overhead per durability mode (no WAL,
-              log-only, group commit, fsync-per-append) under concurrent
-              writers
-  bench-parallel
-              measure sequential vs parallel keyword-batch execution and
-              record the comparison (including byte-identity of results)
-  bench-plan  measure exhaustive vs planned top-k discovery over the
-              workload (cost-based planner with early termination) and
-              verify the planner's exactness contract
-  bench-cache
-              measure the multi-level result cache: cold vs warm discovery
-              sweeps, hit rates, occupancy, and byte-identity against an
-              uncached control engine
-  bench-trace
-              measure request-scoped tracing overhead on the discovery
-              sweep and verify the traced and untraced runs are
-              byte-identical (tracing is observe-only)
-  bench-stream
-              measure the streaming ingest pipeline: async submission,
-              change-driven re-discovery, enqueue-to-attached freshness,
-              and byte-identity against a synchronous from-scratch control
-  bench-shard
-              measure mixed write+discover throughput across engine shard
-              counts (per-shard locks and cache epochs) and verify results
-              are byte-identical at every shard count
-  bench-store
-              measure restart cost with the disk-backed index substrate:
-              heap-mode full re-index vs mapping checkpoint-flushed segment
-              files back in, with byte-identity of the discovery sweep
-  bench-scan  measure the shared-scan row kernel: ns/op, allocs/op and
-              bytes/op of one exhaustive SelectMulti batch through the
-              Key()-per-row reference pass and the folded-hash kernel, with
-              byte-identity of rows, order and stats
 `)
+}
+
+// generate builds a private dataset of the named size. Every verb that
+// grows an engine on the dataset needs its own copy: the engine writes into
+// the tables, store and graph it is handed.
+func generate(size string, seed int64) (*workload.Dataset, error) {
+	cfg, err := workload.SizeConfig(size, seed)
+	if err != nil {
+		return nil, err
+	}
+	return workload.Generate(cfg)
 }
 
 func cmdGenerate(args []string) error {
@@ -149,12 +104,11 @@ func cmdGenerate(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	env, err := bench.LoadEnv(*size, *seed)
+	ds, err := generate(*size, *seed)
 	if err != nil {
 		return err
 	}
-	ds := env.Dataset
-	fmt.Printf("dataset %s (seed %d)\n", env.Name, *seed)
+	fmt.Printf("dataset D_%s (seed %d)\n", *size, *seed)
 	for _, t := range ds.DB.TableNames() {
 		fmt.Printf("  table %-12s %8d tuples\n", t, ds.DB.MustTable(t).Len())
 	}
@@ -171,25 +125,25 @@ func cmdGenerate(args []string) error {
 
 func cmdExperiment(args []string) error {
 	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
-	figure := fs.String("figure", "all", "figure id: 11a 11b 11c 12a 12b 13 14a 14b 15a 15b naive profile ablation-context ablation-focal all")
+	figure := fs.String("figure", "all", "figure id: 11a 11b 11c 12a 12b 13 14a 14b 15a 15b 18 naive profile ablation-context ablation-focal ablation-technique all")
 	size := fs.String("size", "small", "dataset size: tiny|small|mid|large")
 	seed := fs.Int64("seed", 42, "generator seed")
 	allSizes := fs.Bool("all-sizes", false, "run Fig 12/13 over D_small, D_mid, D_large")
 	tune := fs.Bool("tune", true, "tune verification bounds with BoundsSetting for Fig 15(a)")
 	fullNaive := fs.Bool("full-naive", false, "run the naive baseline on every L^m (slow)")
-	format := fs.String("format", "text", "output format: text|csv|json")
+	format := fs.String("format", "text", "output format: text|csv|json|markdown")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	env, err := bench.LoadEnv(*size, *seed)
+	env, err := experiment.LoadEnv(*size, *seed)
 	if err != nil {
 		return err
 	}
-	envs := []*bench.Env{env}
+	envs := []*experiment.Env{env}
 	if *allSizes {
 		envs = envs[:0]
-		for _, s := range bench.DatasetSizes {
-			e, err := bench.LoadEnv(s, *seed)
+		for _, s := range experiment.DatasetSizes {
+			e, err := experiment.LoadEnv(s, *seed)
 			if err != nil {
 				return err
 			}
@@ -197,45 +151,45 @@ func cmdExperiment(args []string) error {
 		}
 	}
 
-	emit := func(t *bench.Table) error { return t.Write(os.Stdout, *format) }
+	emit := func(t *experiment.Table) error { return t.Write(os.Stdout, *format) }
 	run := func(id string) error {
 		switch id {
 		case "11a":
-			return emit(bench.Fig11a(env))
+			return emit(experiment.Fig11a(env))
 		case "11b":
-			return emit(bench.Fig11b(env))
+			return emit(experiment.Fig11b(env))
 		case "11c":
-			return emit(bench.Fig11c(env))
+			return emit(experiment.Fig11c(env))
 		case "12a":
-			return emit(bench.Fig12a(envs, *fullNaive))
+			return emit(experiment.Fig12a(envs, *fullNaive))
 		case "12b":
-			return emit(bench.Fig12b(envs, *fullNaive))
+			return emit(experiment.Fig12b(envs, *fullNaive))
 		case "13":
-			return emit(bench.Fig13(envs))
+			return emit(experiment.Fig13(envs))
 		case "14a":
-			return emit(bench.Fig14a(env))
+			return emit(experiment.Fig14a(env))
 		case "14b":
-			return emit(bench.Fig14b(env))
+			return emit(experiment.Fig14b(env))
 		case "15a":
-			t, err := bench.Fig15a(env, *tune)
+			t, err := experiment.Fig15a(env, *tune)
 			if err != nil {
 				return err
 			}
 			return emit(t)
 		case "15b":
-			return emit(bench.Fig15b(env))
+			return emit(experiment.Fig15b(env))
 		case "naive":
-			return emit(bench.NaiveAssessment(env))
+			return emit(experiment.NaiveAssessment(env))
 		case "profile":
-			return emit(bench.HopProfileTable(env))
+			return emit(experiment.HopProfileTable(env))
 		case "18":
-			return emit(bench.WorkloadSummary(env))
+			return emit(experiment.WorkloadSummary(env))
 		case "ablation-context":
-			return emit(bench.AblationContextAdjustment(env))
+			return emit(experiment.AblationContextAdjustment(env))
 		case "ablation-focal":
-			return emit(bench.AblationFocalAdjustment(env))
+			return emit(experiment.AblationFocalAdjustment(env))
 		case "ablation-technique":
-			return emit(bench.AblationSearchTechnique(env))
+			return emit(experiment.AblationSearchTechnique(env))
 		default:
 			return fmt.Errorf("unknown figure %q", id)
 		}
@@ -264,13 +218,13 @@ func cmdLearn(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	env, err := bench.LoadEnv(*size, *seed)
+	ds, err := generate(*size, *seed)
 	if err != nil {
 		return err
 	}
 	opts := meta.DefaultLearnOptions()
 	opts.MinSupport = *minSupport
-	concepts, supports := meta.LearnConcepts(env.Dataset.DB, env.Dataset.Store, opts)
+	concepts, supports := meta.LearnConcepts(ds.DB, ds.Store, opts)
 	fmt.Println("column support (fraction of attachments whose annotation text contains the column's value):")
 	for _, s := range supports {
 		fmt.Printf("  %-22s %6.3f  (%d/%d)\n", s.Column, s.Support, s.Hits, s.Attachments)
@@ -311,11 +265,10 @@ func cmdDiscover(args []string) error {
 	); err != nil {
 		return err
 	}
-	env, err := bench.LoadEnv(*size, *seed)
+	ds, err := generate(*size, *seed)
 	if err != nil {
 		return err
 	}
-	ds := env.Dataset
 	if *index < 0 || *index >= len(ds.Workload) {
 		return fmt.Errorf("index %d outside workload [0, %d)", *index, len(ds.Workload))
 	}
@@ -403,394 +356,6 @@ func cmdDiscover(args []string) error {
 	if disc.Trace != nil {
 		fmt.Printf("\ntrace (%d spans):\n%s", disc.Trace.SpanCount(), disc.Trace)
 	}
-	return nil
-}
-
-// cmdBenchParallel measures sequential vs parallel execution of the
-// workload's keyword-query batch and records the comparison as JSON. The
-// speedup is bounded by GOMAXPROCS — on a single-core host the interesting
-// output is the identity check, which must hold at every worker count.
-func cmdBenchParallel(args []string) error {
-	fs := flag.NewFlagSet("bench-parallel", flag.ExitOnError)
-	size := fs.String("size", "large", "dataset size: tiny|small|mid|large")
-	seed := fs.Int64("seed", 42, "generator seed")
-	workers := fs.String("workers", "2,4,8", "comma-separated worker counts to compare against sequential")
-	rounds := fs.Int("rounds", 3, "measurement rounds per configuration (best time kept)")
-	out := fs.String("out", "BENCH_parallel.json", "output JSON path (empty = stdout only)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := flagcheck.Positive("rounds", *rounds); err != nil {
-		return err
-	}
-	var counts []int
-	for _, part := range strings.Split(*workers, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 2 {
-			return fmt.Errorf("bad worker count %q (need integers >= 2)", part)
-		}
-		counts = append(counts, n)
-	}
-	env, err := bench.LoadEnv(*size, *seed)
-	if err != nil {
-		return err
-	}
-	results, err := bench.RunParallelBench(env, counts, *rounds)
-	if err != nil {
-		return err
-	}
-	bench.ParallelTable(results).Print(os.Stdout)
-	for _, r := range results {
-		if !r.Identical {
-			return fmt.Errorf("parallel results diverged from sequential (workers=%d shared=%v)", r.Workers, r.Shared)
-		}
-	}
-	if *out == "" {
-		return bench.WriteParallelJSON(os.Stdout, results)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := bench.WriteParallelJSON(f, results); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
-	return nil
-}
-
-// cmdBenchPlan measures the cost-based planner: exhaustive top-k discovery
-// (planning off) vs planned top-k discovery with early termination over the
-// workload, recording the speedup, the pruned-query counts, and the
-// byte-identity of the top-k candidates (the exactness contract).
-func cmdBenchPlan(args []string) error {
-	fs := flag.NewFlagSet("bench-plan", flag.ExitOnError)
-	size := fs.String("size", "large", "dataset size: tiny|small|mid|large")
-	seed := fs.Int64("seed", 42, "generator seed")
-	topks := fs.String("topk", "10", "comma-separated top-k values to compare")
-	rounds := fs.Int("rounds", 3, "measurement rounds per configuration (best time kept)")
-	out := fs.String("out", "BENCH_plan.json", "output JSON path (empty = stdout only)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := flagcheck.Positive("rounds", *rounds); err != nil {
-		return err
-	}
-	var ks []int
-	for _, part := range strings.Split(*topks, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad top-k %q (need positive integers)", part)
-		}
-		ks = append(ks, n)
-	}
-	env, err := bench.LoadEnv(*size, *seed)
-	if err != nil {
-		return err
-	}
-	results, err := bench.RunPlanBench(env, ks, *rounds)
-	if err != nil {
-		return err
-	}
-	bench.PlanTable(results).Print(os.Stdout)
-	for _, r := range results {
-		if !r.Identical {
-			return fmt.Errorf("planned top-%d candidates diverged from exhaustive", r.TopK)
-		}
-	}
-	if *out == "" {
-		return bench.WritePlanJSON(os.Stdout, results)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := bench.WritePlanJSON(f, results); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
-	return nil
-}
-
-// cmdBenchCache measures the multi-level result cache: one cold discovery
-// sweep per dataset size, repeated warm sweeps, hit-rate/occupancy deltas,
-// and byte-identity against a caching-disabled control engine. The warm
-// sweeps short-circuit on the discovery cache, so the speedup holds even on
-// a single-core host.
-func cmdBenchCache(args []string) error {
-	fs := flag.NewFlagSet("bench-cache", flag.ExitOnError)
-	sizes := fs.String("sizes", "small,mid", "comma-separated dataset sizes to measure")
-	seed := fs.Int64("seed", 42, "generator seed")
-	rounds := fs.Int("rounds", 3, "warm sweeps per size (best time kept)")
-	cacheBytes := fs.Int64("cache-bytes", 0, "cache byte budget (0 = engine default, 64 MiB)")
-	out := fs.String("out", "BENCH_cache.json", "output JSON path (empty = stdout only)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := flagcheck.All(
-		flagcheck.Positive("rounds", *rounds),
-		flagcheck.NonNegative("cache-bytes", int(*cacheBytes)),
-	); err != nil {
-		return err
-	}
-	var names []string
-	for _, part := range strings.Split(*sizes, ",") {
-		if s := strings.TrimSpace(part); s != "" {
-			names = append(names, s)
-		}
-	}
-	if len(names) == 0 {
-		return fmt.Errorf("no dataset sizes given")
-	}
-	results, err := bench.RunCacheBench(names, *seed, *rounds, *cacheBytes)
-	if err != nil {
-		return err
-	}
-	bench.CacheTable(results).Print(os.Stdout)
-	for _, r := range results {
-		if !r.Identical {
-			return fmt.Errorf("cached results diverged from the uncached control (%s)", r.Dataset)
-		}
-	}
-	if *out == "" {
-		return bench.WriteCacheJSON(os.Stdout, results)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := bench.WriteCacheJSON(f, results); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
-	return nil
-}
-
-// cmdBenchTrace measures the overhead of request-scoped tracing on the
-// discovery sweep and enforces the observe-only contract: the traced and
-// untraced sweeps must render byte-identical results.
-func cmdBenchTrace(args []string) error {
-	fs := flag.NewFlagSet("bench-trace", flag.ExitOnError)
-	size := fs.String("size", "small", "dataset size: tiny|small|mid|large")
-	seed := fs.Int64("seed", 42, "generator seed")
-	rounds := fs.Int("rounds", 3, "measurement rounds per mode (best time kept)")
-	out := fs.String("out", "BENCH_trace.json", "output JSON path (empty = stdout only)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := flagcheck.Positive("rounds", *rounds); err != nil {
-		return err
-	}
-	result, err := bench.RunTraceBench(*size, *seed, *rounds)
-	if err != nil {
-		return err
-	}
-	bench.TraceTable(result).Print(os.Stdout)
-	if !result.Identical {
-		return fmt.Errorf("traced results diverged from untraced (%s); tracing must be observe-only", result.Dataset)
-	}
-	if *out == "" {
-		return bench.WriteTraceJSON(os.Stdout, result)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := bench.WriteTraceJSON(f, result); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
-	return nil
-}
-
-// cmdBenchStream measures the streaming proactive pipeline: the workload
-// submitted through the async path with drains interleaved, tuple mutations
-// driving K-hop CDC re-discovery, and a convergence flush whose final state
-// must be byte-identical to a synchronous from-scratch control engine over
-// the same final database.
-func cmdBenchStream(args []string) error {
-	fs := flag.NewFlagSet("bench-stream", flag.ExitOnError)
-	size := fs.String("size", "tiny", "dataset size: tiny|small|mid|large")
-	seed := fs.Int64("seed", 42, "generator seed")
-	mutations := fs.Int("mutations", 24, "tuple mutations driving CDC re-discovery")
-	drainEvery := fs.Int("drain-every", 4, "submissions/mutations between drains")
-	out := fs.String("out", "BENCH_stream.json", "output JSON path (empty = stdout only)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := flagcheck.All(
-		flagcheck.NonNegative("mutations", *mutations),
-		flagcheck.Positive("drain-every", *drainEvery),
-	); err != nil {
-		return err
-	}
-	result, err := bench.RunStreamBench(*size, *seed, *mutations, *drainEvery)
-	if err != nil {
-		return err
-	}
-	results := []*bench.StreamResult{result}
-	bench.StreamTable(results).Print(os.Stdout)
-	if !result.Identical {
-		return fmt.Errorf("streaming state diverged from the synchronous control (%s); async must not change results", result.Dataset)
-	}
-	if *out == "" {
-		return bench.WriteStreamJSON(os.Stdout, results)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := bench.WriteStreamJSON(f, results); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
-	return nil
-}
-
-// cmdBenchShard measures the hash-partitioned engine: a mixed
-// write+discover workload at each shard count (per-shard mutation locks and
-// per-shard cache invalidation epochs), plus a sequential identity phase
-// asserting the shard count never changes discovery output. The throughput
-// win is invalidation granularity — writes homed on one shard leave the
-// other shards' cached discoveries live — so it holds even at GOMAXPROCS=1.
-func cmdBenchShard(args []string) error {
-	fs := flag.NewFlagSet("bench-shard", flag.ExitOnError)
-	size := fs.String("size", "small", "dataset size: tiny|small|mid|large")
-	seed := fs.Int64("seed", 42, "generator seed")
-	shards := fs.String("shards", "1,2,4,8", "comma-separated shard counts to compare")
-	workers := fs.Int("workers", 4, "concurrent mutator goroutines in the timed phase")
-	writes := fs.Int("writes", 48, "annotation writes in the timed phase")
-	discovers := fs.Int("discovers", 16, "cached discoveries issued after each write")
-	readers := fs.Int("readers", 24, "warm annotation pool the discoveries cycle over")
-	out := fs.String("out", "BENCH_shard.json", "output JSON path (empty = stdout only)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := flagcheck.All(
-		flagcheck.Positive("workers", *workers),
-		flagcheck.Positive("writes", *writes),
-		flagcheck.Positive("discovers", *discovers),
-		flagcheck.Positive("readers", *readers),
-	); err != nil {
-		return err
-	}
-	var counts []int
-	for _, part := range strings.Split(*shards, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad shard count %q (need integers >= 1)", part)
-		}
-		counts = append(counts, n)
-	}
-	results, err := bench.RunShardBench(*size, *seed, counts, *workers, *writes, *discovers, *readers)
-	if err != nil {
-		return err
-	}
-	bench.ShardTable(results).Print(os.Stdout)
-	for _, r := range results {
-		if !r.Identical {
-			return fmt.Errorf("sharded results diverged from the single-shard control (shards=%d); sharding must not change results", r.Shards)
-		}
-	}
-	if *out == "" {
-		return bench.WriteShardJSON(os.Stdout, results)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := bench.WriteShardJSON(f, results); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
-	return nil
-}
-
-// cmdBenchStore measures the disk-backed index substrate: restart cost
-// from the same snapshot in heap mode (deferred full re-index at first
-// discovery) vs disk mode (checkpoint-flushed segment files mapped back
-// in), plus byte-identity of the post-restart discovery sweep.
-func cmdBenchStore(args []string) error {
-	fs := flag.NewFlagSet("bench-store", flag.ExitOnError)
-	size := fs.String("size", "small", "dataset size: tiny|small|mid|large")
-	seed := fs.Int64("seed", 42, "generator seed")
-	out := fs.String("out", "BENCH_store.json", "output JSON path (empty = stdout only)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	dir, err := os.MkdirTemp("", "nebula-bench-store-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	results, err := bench.RunStoreBench(*size, *seed, dir)
-	if err != nil {
-		return err
-	}
-	bench.StoreTable(results).Print(os.Stdout)
-	for _, r := range results {
-		if !r.Identical {
-			return fmt.Errorf("disk-mode results diverged from the heap-mode control (mode=%s); the substrate must not change results", r.Mode)
-		}
-	}
-	if *out == "" {
-		return bench.WriteStoreJSON(os.Stdout, results)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := bench.WriteStoreJSON(f, results); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
-	return nil
-}
-
-// cmdBenchScan measures the shared-pass row kernel against the reference
-// pass it replaced, on the distinct structured queries of each dataset's
-// whole workload run as one exhaustive batch.
-func cmdBenchScan(args []string) error {
-	fs := flag.NewFlagSet("bench-scan", flag.ExitOnError)
-	size := fs.String("size", "mid,large", "comma-separated dataset sizes: tiny|small|mid|large")
-	seed := fs.Int64("seed", 42, "generator seed")
-	out := fs.String("out", "BENCH_scan.json", "output JSON path (empty = stdout only)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var sizes []string
-	for _, part := range strings.Split(*size, ",") {
-		sizes = append(sizes, strings.TrimSpace(part))
-	}
-	results, err := bench.RunScanBench(sizes, *seed)
-	if err != nil {
-		return err
-	}
-	bench.ScanTable(results).Print(os.Stdout)
-	for _, r := range results {
-		if !r.Identical {
-			return fmt.Errorf("the %s kernel diverged from the reference pass on %s; the kernel must not change results", r.Kernel, r.Dataset)
-		}
-	}
-	if *out == "" {
-		return bench.WriteScanJSON(os.Stdout, results)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := bench.WriteScanJSON(f, results); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
 	return nil
 }
 

@@ -47,6 +47,18 @@ func TestCmdDiscover(t *testing.T) {
 	}
 }
 
+// TestCmdDiscoverTwice runs the same discovery twice in one process: each
+// run must grow its engine on its own dataset, not on one an earlier run
+// already wrote the workload annotation into.
+func TestCmdDiscoverTwice(t *testing.T) {
+	args := []string{"--size", "tiny", "--index", "3", "--delta", "1"}
+	for run := 1; run <= 2; run++ {
+		if err := cmdDiscover(args); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+	}
+}
+
 func TestCmdDiscoverSpreading(t *testing.T) {
 	if err := cmdDiscover([]string{"--size", "tiny", "--index", "40", "--spread", "2"}); err != nil {
 		t.Fatal(err)
@@ -60,14 +72,14 @@ func TestCmdDemo(t *testing.T) {
 }
 
 func TestCmdSnapshot(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "state.gob")
+	out := filepath.Join(t.TempDir(), "state.nebsnap")
 	if err := cmdSnapshot([]string{"--size", "tiny", "--out", out}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(out); err != nil {
 		t.Fatalf("snapshot file missing: %v", err)
 	}
-	if err := cmdSnapshot([]string{"--size", "tiny", "--out", "/nonexistent-dir/x.gob"}); err == nil {
+	if err := cmdSnapshot([]string{"--size", "tiny", "--out", "/nonexistent-dir/x.nebsnap"}); err == nil {
 		t.Error("unwritable path accepted")
 	}
 }

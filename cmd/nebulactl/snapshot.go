@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"nebula"
-	"nebula/internal/bench"
 	"nebula/internal/meta"
 )
 
@@ -17,15 +16,14 @@ func cmdSnapshot(args []string) error {
 	fs := flag.NewFlagSet("snapshot", flag.ExitOnError)
 	size := fs.String("size", "tiny", "dataset size: tiny|small|mid|large")
 	seed := fs.Int64("seed", 42, "generator seed")
-	out := fs.String("out", "nebula-state.gob", "output file")
+	out := fs.String("out", "nebula-state.nebsnap", "output file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	env, err := bench.LoadEnv(*size, *seed)
+	ds, err := generate(*size, *seed)
 	if err != nil {
 		return err
 	}
-	ds := env.Dataset
 	engine, err := nebula.NewWithState(ds.DB, ds.Meta, ds.Store, ds.Graph, nebula.DefaultOptions())
 	if err != nil {
 		return err

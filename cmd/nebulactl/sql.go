@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"nebula"
-	"nebula/internal/bench"
 )
 
 // cmdSQL runs an interactive extended-SQL shell over a generated dataset.
@@ -22,11 +21,10 @@ func cmdSQL(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	env, err := bench.LoadEnv(*size, *seed)
+	ds, err := generate(*size, *seed)
 	if err != nil {
 		return err
 	}
-	ds := env.Dataset
 	engine, err := nebula.NewWithState(ds.DB, ds.Meta, ds.Store, ds.Graph, nebula.DefaultOptions())
 	if err != nil {
 		return err
@@ -38,8 +36,8 @@ func cmdSQL(args []string) error {
 			return err
 		}
 	}
-	fmt.Printf("nebula sql shell — %s, %d tuples, %d annotations. \\h for help, \\q to quit.\n",
-		env.Name, ds.DB.TotalRows(), engine.Store().Len())
+	fmt.Printf("nebula sql shell — D_%s, %d tuples, %d annotations. \\h for help, \\q to quit.\n",
+		*size, ds.DB.TotalRows(), engine.Store().Len())
 	return runShell(engine, os.Stdin, os.Stdout)
 }
 

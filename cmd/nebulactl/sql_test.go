@@ -5,16 +5,14 @@ import (
 	"testing"
 
 	"nebula"
-	"nebula/internal/bench"
 )
 
 func shellEngine(t *testing.T) *nebula.Engine {
 	t.Helper()
-	env, err := bench.LoadEnv("tiny", 42)
+	ds, err := generate("tiny", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := env.Dataset
 	e, err := nebula.NewWithState(ds.DB, ds.Meta, ds.Store, ds.Graph, nebula.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

@@ -8,8 +8,6 @@ import (
 	"os"
 
 	"nebula"
-	"nebula/internal/bench"
-	"nebula/internal/flagcheck"
 	"nebula/internal/wal"
 	"nebula/internal/workload"
 )
@@ -89,11 +87,10 @@ func cmdCheckpoint(args []string) error {
 		fmt.Printf("restored %s (%d annotations, %d tuples)\n",
 			*snapPath, engine.Store().Len(), engine.DB().TotalRows())
 	} else {
-		env, err := bench.FreshEnv(*size, *seed)
+		ds, err := generate(*size, *seed)
 		if err != nil {
 			return err
 		}
-		ds := env.Dataset
 		engine, err = nebula.NewWithState(ds.DB, ds.Meta, ds.Store, ds.Graph, nebula.DefaultOptions())
 		if err != nil {
 			return err
@@ -121,44 +118,5 @@ func cmdCheckpoint(args []string) error {
 		return err
 	}
 	fmt.Printf("checkpoint OK: %s (%d bytes), log truncated behind it\n", *snapPath, info.Size())
-	return nil
-}
-
-// cmdBenchWAL measures the mutation cost of the durability modes — no
-// WAL, log-only (no fsync), group commit, fsync-per-append — under
-// concurrent writers, and records the comparison for BENCH_wal.json.
-func cmdBenchWAL(args []string) error {
-	fs := flag.NewFlagSet("bench-wal", flag.ExitOnError)
-	size := fs.String("size", "tiny", "dataset size: tiny|small|mid|large")
-	seed := fs.Int64("seed", 42, "generator seed")
-	writers := fs.Int("writers", 4, "concurrent mutating goroutines")
-	mutations := fs.Int("mutations", 400, "total annotation inserts per mode")
-	out := fs.String("out", "BENCH_wal.json", "output JSON path (empty = stdout only)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := flagcheck.All(
-		flagcheck.Positive("writers", *writers),
-		flagcheck.Positive("mutations", *mutations),
-	); err != nil {
-		return err
-	}
-	results, err := bench.RunWALBench(*size, *seed, *writers, *mutations)
-	if err != nil {
-		return err
-	}
-	bench.WALTable(results).Print(os.Stdout)
-	if *out == "" {
-		return bench.WriteWALJSON(os.Stdout, results)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := bench.WriteWALJSON(f, results); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
 	return nil
 }

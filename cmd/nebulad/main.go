@@ -72,7 +72,6 @@ import (
 	"time"
 
 	"nebula"
-	"nebula/internal/bench"
 	"nebula/internal/flagcheck"
 	"nebula/internal/server"
 	"nebula/internal/wal"
@@ -238,18 +237,27 @@ func buildEngine(cfg daemonConfig) (*nebula.Engine, func(*nebula.Database) (*neb
 			return engine, configureMeta, nil
 		}
 	}
-	env, err := bench.LoadEnv(cfg.size, cfg.seed)
+	ds, err := generate(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	ds := env.Dataset
 	engine, err := nebula.NewWithState(ds.DB, ds.Meta, ds.Store, ds.Graph, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	log.Printf("nebulad: generated dataset %s seed=%d (%d annotations, %d tuples)",
-		env.Name, cfg.seed, engine.Store().Len(), engine.DB().TotalRows())
+	log.Printf("nebulad: generated dataset D_%s seed=%d (%d annotations, %d tuples)",
+		cfg.size, cfg.seed, engine.Store().Len(), engine.DB().TotalRows())
 	return engine, configureMeta, nil
+}
+
+// generate builds a private copy of the configured dataset: the engine
+// writes into the tables, store and graph it is handed.
+func generate(cfg daemonConfig) (*workload.Dataset, error) {
+	wcfg, err := workload.SizeConfig(cfg.size, cfg.seed)
+	if err != nil {
+		return nil, err
+	}
+	return workload.Generate(wcfg)
 }
 
 // seconds renders a stage time the way the WAL replay line renders its own.
@@ -486,11 +494,11 @@ func smokeRoundTrip(cfg daemonConfig, base string) error {
 		return fmt.Errorf("healthz: status %d", resp.StatusCode)
 	}
 
-	env, err := bench.LoadEnv(cfg.size, cfg.seed)
+	ds, err := generate(cfg)
 	if err != nil {
 		return err
 	}
-	spec := env.Dataset.Workload[0]
+	spec := ds.Workload[0]
 	focal := make([]string, 0, 1)
 	for _, t := range spec.Focal(1) {
 		focal = append(focal, t.String())

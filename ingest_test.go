@@ -211,134 +211,154 @@ func TestIngestCDCExactNeighborhood(t *testing.T) {
 // mutator goroutine races the drainer — must converge (after a final
 // re-discovery flush) to annotation state byte-identical to a from-scratch
 // synchronous engine over the final database. Run under -race, this also
-// proves the lock discipline of the CDC capture and drain paths.
+// proves the lock discipline of the CDC capture and drain paths. The
+// seeded cases run ten L^500 annotations; the last case runs the whole
+// tiny workload, every size and reference class.
 func TestIngestInterleavingConvergence(t *testing.T) {
+	firstTen := func(ds *workload.Dataset) []*workload.AnnotationSpec {
+		specs := ds.WorkloadSet(500, workload.RefClass{})
+		if len(specs) > 10 {
+			specs = specs[:10]
+		}
+		return specs
+	}
 	for _, seed := range []int64{1, 7, 23} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			e, ds := ingestFixture(t, nil)
-			ctx := context.Background()
-			rng := rand.New(rand.NewSource(seed))
-			specs := ds.WorkloadSet(500, workload.RefClass{Min: 1, Max: 6})
-			if len(specs) > 10 {
-				specs = specs[:10]
-			}
-			var muts []ingestMutation
-
-			// Phase 1 — sequential random interleaving. Annotations are
-			// always added in spec order (store insertion order must match
-			// the control); only the interleaving is random.
-			added := 0
-			for step := 0; added < len(specs) || step < 4*len(specs); step++ {
-				switch p := rng.Float64(); {
-				case p < 0.45 && added < len(specs):
-					spec := specs[added]
-					if _, err := e.AddAnnotationAsync(spec.Ann, spec.Focal(1), rng.Intn(3)); err != nil {
-						t.Fatalf("submit %s: %v", spec.Ann.ID, err)
-					}
-					added++
-				case p < 0.65 && added > 0:
-					if mut, ok := specMutation(specs[rng.Intn(added)], len(muts)); ok {
-						muts = append(muts, mut)
-						if err := applyMutation(e, mut); err != nil {
-							t.Fatal(err)
-						}
-					}
-				case p < 0.9:
-					if _, err := e.DrainIngest(ctx, rng.Intn(3)); err != nil {
-						t.Fatal(err)
-					}
-				case added > 0:
-					if _, err := e.EnqueueDiscovery(specs[rng.Intn(added)].Ann.ID, rng.Intn(2)); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-
-			// Phase 2 — mutator races drainer. Each spec is mutated at most
-			// once here (distinct n per mutation, one mutation per spec), so
-			// the final database state is order-independent.
-			concurrent := make([]ingestMutation, 0, len(specs))
-			for i, spec := range specs {
-				if mut, ok := specMutation(spec, 1000+i); ok {
-					concurrent = append(concurrent, mut)
-				}
-			}
-			muts = append(muts, concurrent...)
-			var wg sync.WaitGroup
-			wg.Add(2)
-			errCh := make(chan error, 2)
-			go func() {
-				defer wg.Done()
-				for _, mut := range concurrent {
-					if err := applyMutation(e, mut); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}()
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 2*len(concurrent); i++ {
-					if _, err := e.DrainIngest(ctx, 1); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}()
-			wg.Wait()
-			select {
-			case err := <-errCh:
-				t.Fatal(err)
-			default:
-			}
-
-			// Phase 3 — convergence: flush the CDC tail, then re-discover
-			// every stored annotation over the final database state.
-			if _, err := e.FlushIngest(ctx); err != nil {
-				t.Fatal(err)
-			}
-			for _, id := range e.Store().IDs() {
-				if _, err := e.EnqueueDiscovery(id, 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := e.FlushIngest(ctx); err != nil {
-				t.Fatal(err)
-			}
-			got := renderIngestState(e)
-
-			// Control — a fresh dataset, the same mutations, the same
-			// annotations, synchronous from-scratch processing.
-			cds, err := workload.Generate(workload.TinyConfig(crashSeed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			control, err := nebula.NewWithState(cds.DB, cds.Meta, cds.Store, cds.Graph, nebula.DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mut := range muts {
-				if err := applyMutation(control, mut); err != nil {
-					t.Fatal(err)
-				}
-			}
-			cspecs := cds.WorkloadSet(500, workload.RefClass{Min: 1, Max: 6})[:len(specs)]
-			for _, spec := range cspecs {
-				if err := control.AddAnnotation(spec.Ann, spec.Focal(1)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, r := range control.ProcessBatch(control.Store().IDs()) {
-				if r.Err != nil {
-					t.Fatalf("control process %s: %v", r.ID, r.Err)
-				}
-			}
-			want := renderIngestState(control)
-			if got != want {
-				t.Fatalf("streaming state diverged from synchronous control\n--- streaming ---\n%s\n--- control ---\n%s", got, want)
-			}
+			checkIngestConvergence(t, seed, firstTen)
 		})
+	}
+	t.Run("whole-workload", func(t *testing.T) {
+		checkIngestConvergence(t, 42, func(ds *workload.Dataset) []*workload.AnnotationSpec { return ds.Workload })
+	})
+}
+
+// checkIngestConvergence runs one case of TestIngestInterleavingConvergence
+// over the specs pick selects, submitted in the order it returns them.
+func checkIngestConvergence(t *testing.T, seed int64, pick func(*workload.Dataset) []*workload.AnnotationSpec) {
+	e, ds := ingestFixture(t, nil)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(seed))
+	specs := pick(ds)
+	var muts []ingestMutation
+
+	// Phase 1 — sequential random interleaving. Annotations are
+	// always added in spec order (store insertion order must match
+	// the control); only the interleaving is random.
+	added := 0
+	for step := 0; added < len(specs) || step < 4*len(specs); step++ {
+		switch p := rng.Float64(); {
+		case p < 0.45 && added < len(specs):
+			spec := specs[added]
+			if _, err := e.AddAnnotationAsync(spec.Ann, spec.Focal(1), rng.Intn(3)); err != nil {
+				t.Fatalf("submit %s: %v", spec.Ann.ID, err)
+			}
+			added++
+		case p < 0.65 && added > 0:
+			if mut, ok := specMutation(specs[rng.Intn(added)], len(muts)); ok {
+				muts = append(muts, mut)
+				if err := applyMutation(e, mut); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case p < 0.9:
+			if _, err := e.DrainIngest(ctx, rng.Intn(3)); err != nil {
+				t.Fatal(err)
+			}
+		case added > 0:
+			if _, err := e.EnqueueDiscovery(specs[rng.Intn(added)].Ann.ID, rng.Intn(2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// Phase 2 — mutator races drainer. Each spec is mutated at most
+	// once here (distinct n per mutation, one mutation per spec), so
+	// the final database state is order-independent.
+	concurrent := make([]ingestMutation, 0, len(specs))
+	for i, spec := range specs {
+		if mut, ok := specMutation(spec, 1000+i); ok {
+			concurrent = append(concurrent, mut)
+		}
+	}
+	muts = append(muts, concurrent...)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	errCh := make(chan error, 2)
+	go func() {
+		defer wg.Done()
+		for _, mut := range concurrent {
+			if err := applyMutation(e, mut); err != nil {
+				errCh <- err
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2*len(concurrent); i++ {
+			if _, err := e.DrainIngest(ctx, 1); err != nil {
+				errCh <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	select {
+	case err := <-errCh:
+		t.Fatal(err)
+	default:
+	}
+
+	// Phase 3 — convergence: flush the CDC tail, then re-discover
+	// every stored annotation over the final database state.
+	if _, err := e.FlushIngest(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range e.Store().IDs() {
+		if _, err := e.EnqueueDiscovery(id, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.FlushIngest(ctx); err != nil {
+		t.Fatal(err)
+	}
+	got := renderIngestState(e)
+
+	// Control — a fresh dataset, the same mutations, the same
+	// annotations, synchronous from-scratch processing.
+	cds, err := workload.Generate(workload.TinyConfig(crashSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	control, err := nebula.NewWithState(cds.DB, cds.Meta, cds.Store, cds.Graph, nebula.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mut := range muts {
+		if err := applyMutation(control, mut); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cspecs := pick(cds)
+	for _, spec := range cspecs {
+		if err := control.AddAnnotation(spec.Ann, spec.Focal(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range control.ProcessBatch(control.Store().IDs()) {
+		if r.Err != nil {
+			t.Fatalf("control process %s: %v", r.ID, r.Err)
+		}
+	}
+	want := renderIngestState(control)
+	if got != want {
+		t.Fatalf("streaming state diverged from synchronous control\n--- streaming ---\n%s\n--- control ---\n%s", got, want)
+	}
+	// The mutations must have driven change-data-capture: with no
+	// re-discovery jobs the identity above would not exercise CDC at all.
+	if st := e.IngestStats(); st.Rediscoveries == 0 || st.Drains == 0 || st.Done == 0 {
+		t.Fatalf("pipeline did no CDC work: %+v", st)
 	}
 }
 

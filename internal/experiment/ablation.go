@@ -1,4 +1,4 @@
-package bench
+package experiment
 
 import (
 	"fmt"
@@ -114,13 +114,6 @@ func AblationFocalAdjustment(env *Env) *Table {
 		t.Rows = append(t.Rows, []string{variant, fmtF(a.FN), fmtF(a.FP), fmtF(a.MF), fmtF(a.MH)})
 	}
 	return t
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // AblationSearchTechnique compares the two pluggable keyword-search

@@ -1,45 +1,22 @@
-// Package bench implements the experiment harness that regenerates every
-// table and figure of the paper's evaluation (§8). Each FigNN function
-// runs the corresponding experiment and returns a printable table with the
-// same rows/series the paper reports; bench_test.go wraps them in
-// testing.B benchmarks and cmd/nebulactl exposes them on the command line.
-// Measured results are recorded in EXPERIMENTS.md.
-package bench
+// Package experiment implements the harness that regenerates every table
+// and figure of the paper's evaluation (§8). Each FigNN function runs the
+// corresponding experiment and returns a printable table with the same
+// rows/series the paper reports; bench_test.go wraps them in testing.B
+// benchmarks and `nebulactl experiment` exposes them on the command line.
+// Measured results are recorded in EXPERIMENTS.md. Performance of the
+// engine itself is measured by the end-to-end benchmark in benchmark/.
+package experiment
 
 import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"sync"
 
 	"nebula/internal/workload"
 )
-
-// BenchEnv is the measurement-environment header written into benchmark
-// JSON artifacts, so a recorded number is never read without knowing the
-// machine shape (in particular GOMAXPROCS — parallel and shard scaling
-// results are meaningless without it).
-type BenchEnv struct {
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-}
-
-// CurrentBenchEnv captures the running process's environment.
-func CurrentBenchEnv() BenchEnv {
-	return BenchEnv{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-}
 
 // Table is a printable experiment result.
 type Table struct {
@@ -164,7 +141,7 @@ func (t *Table) Write(w io.Writer, format string) error {
 	case "markdown", "md":
 		return t.WriteMarkdown(w)
 	default:
-		return fmt.Errorf("bench: unknown output format %q (text|csv|json|markdown)", format)
+		return fmt.Errorf("experiment: unknown output format %q (text|csv|json|markdown)", format)
 	}
 }
 
@@ -187,9 +164,9 @@ var (
 // LoadEnv generates (or returns the cached) dataset of the given size.
 // Sizes: "tiny", "small", "mid", "large". Generation is deterministic in
 // the seed, and environments are cached per (size, seed) for the lifetime
-// of the process because benchmarks reuse them heavily. The cached dataset
-// is shared: callers must not mutate it (use FreshEnv to get a private
-// copy to grow an engine on).
+// of the process because the figures reuse them heavily. The cached dataset
+// is shared and read-only: anything that grows an engine on a dataset
+// generates its own with workload.Generate(workload.SizeConfig(...)).
 func LoadEnv(size string, seed int64) (*Env, error) {
 	key := fmt.Sprintf("%s/%d", size, seed)
 	envMu.Lock()
@@ -197,40 +174,20 @@ func LoadEnv(size string, seed int64) (*Env, error) {
 	if e, ok := envCache[key]; ok {
 		return e, nil
 	}
-	e, err := FreshEnv(size, seed)
+	cfg, err := workload.SizeConfig(size, seed)
 	if err != nil {
 		return nil, err
-	}
-	envCache[key] = e
-	return e, nil
-}
-
-// FreshEnv generates a private, uncached dataset of the given size —
-// byte-identical to what LoadEnv would cache (generation is deterministic
-// in the seed) but safe for callers that mutate it, such as the serving
-// load test inserting workload annotations into the store.
-func FreshEnv(size string, seed int64) (*Env, error) {
-	var cfg workload.Config
-	switch size {
-	case "tiny":
-		cfg = workload.TinyConfig(seed)
-	case "small":
-		cfg = workload.SmallConfig(seed)
-	case "mid":
-		cfg = workload.MidConfig(seed)
-	case "large":
-		cfg = workload.LargeConfig(seed)
-	default:
-		return nil, fmt.Errorf("bench: unknown dataset size %q (tiny|small|mid|large)", size)
 	}
 	ds, err := workload.Generate(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Env{Name: "D_" + size, Dataset: ds}, nil
+	e := &Env{Name: "D_" + size, Dataset: ds}
+	envCache[key] = e
+	return e, nil
 }
 
-// fmtDur renders a duration in milliseconds with 3 decimals.
+// fmtMs renders a duration in milliseconds with 3 decimals.
 func fmtMs(ns int64) string { return fmt.Sprintf("%.3f", float64(ns)/1e6) }
 
 // fmtF renders a float with 3 decimals.

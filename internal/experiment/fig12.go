@@ -1,4 +1,4 @@
-package bench
+package experiment
 
 import (
 	"fmt"
@@ -13,14 +13,13 @@ import (
 // (the 0.4 threshold is excluded there, as in the paper).
 var NebulaEpsilons = []float64{0.6, 0.8}
 
-// execMeasurement aggregates one (dataset, L^m, config) cell.
+// execMeasurement aggregates one (dataset, L^m, config) cell, averaged per
+// annotation: wall time, candidate tuples produced, and tuples scanned (the
+// work the time pays for).
 type execMeasurement struct {
-	config   string
-	dataset  string
-	size     int
-	avgTime  time.Duration
-	avgTuple float64
-	avgQexec float64
+	avgTime    time.Duration
+	avgTuple   float64
+	avgScanned float64
 }
 
 // runNebulaExec measures keyword-query execution for one ε over one size
@@ -30,9 +29,9 @@ func runNebulaExec(env *Env, size int, epsilon float64, shared, spreading bool, 
 	ds := env.Dataset
 	specs := ds.WorkloadSet(size, workload.RefClass{})
 	d := discovery.New(ds.DB, ds.Meta, ds.Graph)
-	m := execMeasurement{dataset: env.Name, size: size}
+	var m execMeasurement
 	var totalTime time.Duration
-	var totalTuples, totalQueries int
+	var totalTuples, totalScanned int
 	for _, spec := range specs {
 		gen := sigmap.NewGenerator(ds.Meta, epsilon)
 		queries, _ := gen.Generate(spec.Ann.Body)
@@ -44,17 +43,17 @@ func runNebulaExec(env *Env, size int, epsilon float64, shared, spreading bool, 
 			K:         k,
 		})
 		if err != nil {
-			panic(fmt.Sprintf("bench: %v", err)) // fixture invariant violated
+			panic(fmt.Sprintf("experiment: %v", err)) // fixture invariant violated
 		}
 		totalTime += time.Since(start)
 		totalTuples += len(cands)
-		totalQueries += stats.Exec.StructuredQueries
+		totalScanned += stats.Exec.TuplesScanned
 	}
 	n := len(specs)
 	if n > 0 {
 		m.avgTime = totalTime / time.Duration(n)
 		m.avgTuple = float64(totalTuples) / float64(n)
-		m.avgQexec = float64(totalQueries) / float64(n)
+		m.avgScanned = float64(totalScanned) / float64(n)
 	}
 	return m
 }
@@ -64,7 +63,7 @@ func runNaiveExec(env *Env, size int) execMeasurement {
 	ds := env.Dataset
 	specs := ds.WorkloadSet(size, workload.RefClass{})
 	d := discovery.New(ds.DB, ds.Meta, ds.Graph)
-	m := execMeasurement{config: "Naive", dataset: env.Name, size: size}
+	var m execMeasurement
 	var totalTime time.Duration
 	var totalTuples int
 	for _, spec := range specs {

@@ -1,4 +1,4 @@
-package bench
+package experiment
 
 import (
 	"time"
@@ -72,7 +72,6 @@ func Fig14b(env *Env) *Table {
 // prints the resulting histogram with cumulative coverage — the guidance
 // used to pick K.
 func HopProfileTable(env *Env) *Table {
-	ds := env.Dataset
 	profile := buildHopProfile(env)
 	t := &Table{
 		Title:  "Figure 7 — Hop-distance metadata profile (" + env.Name + ")",
@@ -84,6 +83,5 @@ func HopProfileTable(env *Env) *Table {
 		})
 	}
 	t.Rows = append(t.Rows, []string{"unreachable", fmtI(profile.Unreachable()), ""})
-	_ = ds
 	return t
 }

@@ -1,4 +1,4 @@
-package bench
+package experiment
 
 import (
 	"fmt"
@@ -53,7 +53,7 @@ func discoverCandidates(env *Env, spec *workload.AnnotationSpec, cfg fig15Config
 		K:               cfg.k,
 	})
 	if err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
+		panic(fmt.Sprintf("experiment: %v", err))
 	}
 	return cands, focal
 }

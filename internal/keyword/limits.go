@@ -28,8 +28,8 @@ func (l Limits) Unlimited() bool { return l.MaxScannedRows <= 0 }
 
 // Workers resolves the executor's worker count: values below 2 select the
 // sequential path. The count is clamped to GOMAXPROCS — a pool wider than
-// the scheduler's parallelism only adds goroutine churn (BENCH_parallel
-// measured unshared 2-worker runs at 0.80x sequential under GOMAXPROCS=1),
+// the scheduler's parallelism only adds goroutine churn (unshared 2-worker
+// runs measured 0.80x sequential under GOMAXPROCS=1),
 // and results are byte-identical at any worker count anyway.
 func (l Limits) Workers() int {
 	w := l.MaxWorkers

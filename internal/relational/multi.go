@@ -57,7 +57,7 @@ func (db *Database) SelectMultiUncached(queries []Query, workers int) ([][]*Row,
 }
 
 // scanMode selects the row kernel of the shared passes. Everything outside
-// tests and bench-scan runs scanFolded.
+// the tests runs scanFolded.
 type scanMode uint8
 
 const (
@@ -65,7 +65,7 @@ const (
 	scanFolded scanMode = iota
 	// scanReference is the pass the kernel replaced — Value.Key() per row
 	// per probed column, Predicate.Matches per residual — kept as the
-	// oracle of the differential tests and bench-scan's "before" row.
+	// oracle of the differential tests.
 	scanReference
 	// scanCollide is scanFolded with every hash forced to zero, so all
 	// operands of a probe collide: the tests' proof that the fold-compare,

@@ -4,8 +4,8 @@ import "strings"
 
 // The shared pass as it stood before the folded-hash kernel, kept as the
 // oracle the kernel is held against: the differential and fuzz tests
-// compare rows, order and stats with it, and nebulactl bench-scan times it
-// as the "before" row. Nothing else may call it.
+// compare rows, order and stats with it, and so does the workload batch of
+// scan_workload_test.go. Nothing else may call it.
 
 // SelectMultiReference is SelectMultiUncached run through the reference
 // row kernel: Value.Key() for every row of every probed column, and

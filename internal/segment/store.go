@@ -32,6 +32,9 @@ type Store struct {
 	walSeg  uint64
 	manID   uint64 // id of the live manifest file (0 = none yet)
 	closed  bool
+	// writing names the segment files a flush or compaction is writing
+	// outside mu; gcLocked leaves them and their temp files alone.
+	writing map[string]struct{}
 
 	nextSeg atomic.Uint64 // next segment file id
 	nextMan atomic.Uint64 // next manifest file id
@@ -84,7 +87,7 @@ func Open(dir string, fsys vfs.FS, maxSegments int) (*Store, error) {
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, fs: fsys, maxSegments: maxSegments}
+	s := &Store{dir: dir, fs: fsys, maxSegments: maxSegments, writing: map[string]struct{}{}}
 
 	manifests, files, err := scanDir(fsys, dir)
 	if err != nil {
@@ -213,7 +216,8 @@ func (s *Store) Flush(seq, walSeg uint64, terms map[string][]Posting) error {
 	var postCount uint64
 	if len(terms) > 0 {
 		data := Build(terms)
-		segName = SegmentFileName(s.nextSeg.Add(1) - 1)
+		segName = s.reserveSegment()
+		defer s.releaseSegment(segName)
 		path := filepath.Join(s.dir, segName)
 		if err := writeFileAtomic(s.fs, path, data); err != nil {
 			return fmt.Errorf("segment flush: %w", err)
@@ -332,7 +336,8 @@ func (s *Store) Compact() error {
 		})
 	}
 	data := Build(merged)
-	segName := SegmentFileName(s.nextSeg.Add(1) - 1)
+	segName := s.reserveSegment()
+	defer s.releaseSegment(segName)
 	path := filepath.Join(s.dir, segName)
 	if err := writeFileAtomic(s.fs, path, data); err != nil {
 		s.compactErrs.Add(1)
@@ -373,6 +378,25 @@ func (s *Store) Compact() error {
 	return nil
 }
 
+// reserveSegment names the next segment file and marks it as being
+// written, so a gc run by a concurrent flush or compaction does not delete
+// it (or its temp file) before the writer publishes or abandons it.
+func (s *Store) reserveSegment() string {
+	name := SegmentFileName(s.nextSeg.Add(1) - 1)
+	s.mu.Lock()
+	s.writing[name] = struct{}{}
+	s.mu.Unlock()
+	return name
+}
+
+// releaseSegment ends reserveSegment's claim: by now the file is live, or
+// its writer removed it.
+func (s *Store) releaseSegment(name string) {
+	s.mu.Lock()
+	delete(s.writing, name)
+	s.mu.Unlock()
+}
+
 // WaitCompaction blocks until any background compaction scheduled by a
 // flush has finished.
 func (s *Store) WaitCompaction() { s.compactWG.Wait() }
@@ -391,6 +415,10 @@ func (s *Store) gcLocked() {
 	for _, r := range s.readers {
 		keep[filepath.Base(r.Name())] = struct{}{}
 	}
+	for name := range s.writing {
+		keep[name] = struct{}{}
+		keep["."+name+".tmp"] = struct{}{}
+	}
 	// The previous manifest's segments stay on disk as the fallback
 	// generation.
 	prevID := s.manID - 1
@@ -405,7 +433,8 @@ func (s *Store) gcLocked() {
 		var stale bool
 		switch {
 		case strings.HasPrefix(name, ".") && strings.HasSuffix(name, ".tmp"):
-			stale = true
+			_, keepIt := keep[name]
+			stale = !keepIt
 		case strings.HasPrefix(name, manifestPrefix):
 			if id, ok := parseNumbered(name, manifestPrefix, ""); ok && id+1 < s.manID {
 				stale = true

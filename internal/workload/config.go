@@ -11,6 +11,8 @@
 // preserves at laptop scale (see DESIGN.md, substitution 1).
 package workload
 
+import "fmt"
+
 // Config sizes the synthetic dataset.
 type Config struct {
 	// Genes is the number of gene records.
@@ -70,6 +72,22 @@ func TinyConfig(seed int64) Config {
 		RefsPerPublicationMin: 2, RefsPerPublicationMax: 5,
 		Families: 8, Seed: seed,
 	}
+}
+
+// SizeConfig returns the configuration of a named dataset size: "tiny",
+// "small", "mid" or "large".
+func SizeConfig(size string, seed int64) (Config, error) {
+	switch size {
+	case "tiny":
+		return TinyConfig(seed), nil
+	case "small":
+		return SmallConfig(seed), nil
+	case "mid":
+		return MidConfig(seed), nil
+	case "large":
+		return LargeConfig(seed), nil
+	}
+	return Config{}, fmt.Errorf("workload: unknown dataset size %q (tiny|small|mid|large)", size)
 }
 
 // AnnotationSizes are the workload size classes L^m in bytes (Figure 10).

@@ -12,7 +12,7 @@ import (
 
 	"nebula"
 	"nebula/internal/acg"
-	"nebula/internal/bench"
+	"nebula/internal/experiment"
 	"nebula/internal/keyword"
 	"nebula/internal/raceflag"
 	"nebula/internal/relational"
@@ -28,11 +28,26 @@ import (
 
 func microDataset(b *testing.B) *workload.Dataset {
 	b.Helper()
-	env, err := bench.LoadEnv("small", 42)
+	env, err := experiment.LoadEnv("small", 42)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return env.Dataset
+}
+
+// freshDataset generates a private dataset for a benchmark that grows an
+// engine on it (the shared LoadEnv copy is read-only).
+func freshDataset(tb testing.TB, size string) *workload.Dataset {
+	tb.Helper()
+	cfg, err := workload.SizeConfig(size, 42)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ds, err := workload.Generate(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ds
 }
 
 // BenchmarkRelationalIndexedSelect measures a hash-indexed point query.
@@ -118,7 +133,7 @@ func TestMatcherAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	env, err := bench.LoadEnv("tiny", 42)
+	env, err := experiment.LoadEnv("tiny", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +243,7 @@ func BenchmarkProfileRecord(b *testing.B) {
 // at the size the end-to-end benchmark uses.
 func midSnapshot(b *testing.B) []byte {
 	b.Helper()
-	env, err := bench.FreshEnv("mid", 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds := env.Dataset
+	ds := freshDataset(b, "mid")
 	e, err := nebula.NewWithState(ds.DB, ds.Meta, ds.Store, ds.Graph, nebula.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
@@ -266,7 +277,7 @@ func BenchmarkRestoreEngine(b *testing.B) {
 // BenchmarkTokenize measures the tokeniser over D_mid's publication
 // abstracts, the text the inverted indexes are built from.
 func BenchmarkTokenize(b *testing.B) {
-	env, err := bench.LoadEnv("mid", 42)
+	env, err := experiment.LoadEnv("mid", 42)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -290,11 +301,7 @@ func BenchmarkTokenize(b *testing.B) {
 // already in the cache: the serving path's repeat-read case.
 func hitBed(tb testing.TB, size string, n int) (*nebula.Engine, []nebula.AnnotationID) {
 	tb.Helper()
-	env, err := bench.FreshEnv(size, 42)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ds := env.Dataset
+	ds := freshDataset(tb, size)
 	opts := nebula.DefaultOptions()
 	opts.Shards = 4
 	e, err := nebula.NewWithState(ds.DB, ds.Meta, ds.Store, ds.Graph, opts)
