@@ -165,21 +165,8 @@ func (e *Engine) runBatch(ctx context.Context, ids []AnnotationID, process bool,
 		if results[i].Err != nil || inputs[i].a == nil {
 			continue
 		}
-		disc := results[i].Discovery
-		degraded := len(disc.Degraded()) > 0
-		submit := e.manager.Submit
-		if degraded {
-			submit = e.manager.SubmitDegraded
-		}
-		// Log the computed routing before applying it, exactly like the
-		// single-annotation Process path; an append failure poisons only
-		// this slot.
-		if err := e.walAppend(recSubmit(ids[i], disc, degraded, e.manager.NextVID())); err != nil {
-			results[i].Err = err
-			continue
-		}
-		e.bumpMutEpochFor(ids[i])
-		outcome, err := submit(ids[i], disc.Focal, disc.Candidates)
+		// An append failure poisons only this slot.
+		outcome, err := e.submit(ids[i], results[i].Discovery)
 		if err != nil {
 			results[i].Err = err
 			continue

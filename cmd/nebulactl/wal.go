@@ -13,9 +13,10 @@ import (
 )
 
 // cmdWALInfo inspects a write-ahead log directory without applying
-// anything: per-segment record and byte counts, and whether the final
+// anything: per-segment record and byte counts, whether the final
 // segment carries a torn tail (the expected signature of a crash
-// mid-append, discarded at replay).
+// mid-append, discarded at replay), and a bound on the records whose
+// replay still searches the ACG because they log no hop distances.
 func cmdWALInfo(args []string) error {
 	fs := flag.NewFlagSet("wal-info", flag.ExitOnError)
 	dir := fs.String("wal", "", "write-ahead log directory to inspect")
@@ -39,18 +40,22 @@ func cmdWALInfo(args []string) error {
 		fmt.Printf("%s: empty log (no segments)\n", *dir)
 		return nil
 	}
-	var records int
+	var records, searches int
 	var bytes int64
 	for _, info := range infos {
 		records += info.Records
+		searches += info.Searches
 		bytes += info.Bytes
 		tail := ""
+		if info.Searches > 0 {
+			tail = fmt.Sprintf("  <= %d searches (no hop distances logged)", info.Searches)
+		}
 		if info.CorruptTail {
-			tail = "  TORN TAIL (discarded at replay)"
+			tail += "  TORN TAIL (discarded at replay)"
 		}
 		fmt.Printf("  segment %d: %6d records %10d bytes%s\n", info.Segment, info.Records, info.Bytes, tail)
 	}
-	fmt.Printf("%s: %d segments, %d records, %d bytes\n", *dir, len(infos), records, bytes)
+	fmt.Printf("%s: %d segments, %d records, %d bytes, <= %d replay searches\n", *dir, len(infos), records, bytes, searches)
 	return nil
 }
 
@@ -105,8 +110,8 @@ func cmdCheckpoint(args []string) error {
 	if stats.CorruptTail {
 		fmt.Printf("replay discarded a torn tail (%d bytes)\n", stats.DiscardedBytes)
 	}
-	fmt.Printf("replayed %d records from %d segments (%d already folded) in %v\n",
-		stats.Records, stats.Segments, stats.SkippedSegments, stats.Duration)
+	fmt.Printf("replayed %d records from %d segments (%d already folded) in %v, %d searches\n",
+		stats.Records, stats.Segments, stats.SkippedSegments, stats.Duration, stats.Searches)
 	if err := engine.Checkpoint(*snapPath); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}

@@ -284,8 +284,8 @@ func attachWAL(engine *nebula.Engine, cfg daemonConfig) error {
 		log.Printf("nebulad: wal replay discarded a torn tail (%d bytes) — expected after a crash mid-append",
 			stats.DiscardedBytes)
 	}
-	log.Printf("nebulad: wal %s replayed %d records from %d segments in %v (sync=%s)",
-		cfg.walDir, stats.Records, stats.Segments, stats.Duration.Round(time.Millisecond), mode)
+	log.Printf("nebulad: wal %s replayed %d records from %d segments in %v, %d searches (sync=%s)",
+		cfg.walDir, stats.Records, stats.Segments, stats.Duration.Round(time.Millisecond), stats.Searches, mode)
 	if cfg.snapshotPath != "" && (stats.Records > 0 || stats.Segments > 0) {
 		if err := engine.Checkpoint(cfg.snapshotPath); err != nil {
 			return fmt.Errorf("boot checkpoint: %w", err)

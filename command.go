@@ -64,12 +64,12 @@ func (e *Engine) ExecCommand(command string) (*CommandResult, error) {
 	defer e.mu.Unlock()
 	switch s := stmt.(type) {
 	case *sqlish.VerifyStmt:
-		if err := e.verifyAttachment(s.VID); err != nil {
+		if err := e.verdict(s.VID, true); err != nil {
 			return nil, err
 		}
 		return &CommandResult{Message: fmt.Sprintf("attachment v%d verified", s.VID)}, nil
 	case *sqlish.RejectStmt:
-		if err := e.rejectAttachment(s.VID); err != nil {
+		if err := e.verdict(s.VID, false); err != nil {
 			return nil, err
 		}
 		return &CommandResult{Message: fmt.Sprintf("attachment v%d rejected", s.VID)}, nil

@@ -818,23 +818,8 @@ func (e *Engine) process(ctx context.Context, id AnnotationID, opts Options) (di
 	if err != nil {
 		return disc, VerificationOutcome{}, err
 	}
-	submit := e.manager.Submit
-	degraded := len(disc.Degraded()) > 0
-	if degraded {
-		submit = e.manager.SubmitDegraded
-	}
-	// Stage 3 routing is logged as its computed inputs — the candidate
-	// set, focal, degradation flag, and the VID the first task will get —
-	// never the discovery computation itself: replay must not re-run
-	// budgeted searches whose outcome depends on wall clocks.
-	if err := e.walAppend(recSubmit(id, disc, degraded, e.manager.NextVID())); err != nil {
-		return disc, VerificationOutcome{}, err
-	}
-	// Submit mutates attachments, the ACG, and the hop profile even on
-	// partial failure, so the epoch moves regardless of the outcome.
-	e.bumpMutEpochFor(id)
 	vspan := root.StartChild("verify")
-	outcome, err = submit(id, disc.Focal, disc.Candidates)
+	outcome, err = e.submit(id, disc)
 	if vspan.Enabled() {
 		vspan.AddInt("accepted", len(outcome.Accepted))
 		vspan.AddInt("pending", len(outcome.Pending))
@@ -845,6 +830,23 @@ func (e *Engine) process(ctx context.Context, id AnnotationID, opts Options) (di
 		return disc, VerificationOutcome{}, err
 	}
 	return disc, outcome, nil
+}
+
+// submit is Stage 3 for one discovery, shared by Process, ProcessBatch and
+// DrainIngest: measure, log, apply. The record carries the computed
+// inputs — candidates, focal, degradation flag, the VID the first task
+// gets — and the hop distance of every acceptance measured here, never the
+// discovery itself: replay re-runs no budgeted search whose outcome
+// depends on wall clocks, and no ACG search either. Caller holds e.mu in
+// write mode.
+func (e *Engine) submit(id AnnotationID, disc *Discovery) (VerificationOutcome, error) {
+	degraded := len(disc.Degraded()) > 0
+	hops := e.manager.MeasureSubmit(disc.Focal, disc.Candidates, degraded)
+	rec := recSubmit(id, disc, degraded, e.manager.NextVID(), hops)
+	if err := e.walAppend(rec); err != nil {
+		return VerificationOutcome{}, err
+	}
+	return e.applySubmit(rec, disc.Candidates)
 }
 
 // PendingTasks returns the pending verification tasks, ordered by VID.
@@ -864,111 +866,65 @@ func (e *Engine) PendingTasksByPriority() []*VerificationTask {
 
 // VerifyAttachment implements the extended SQL command
 // `Verify Attachement <vid>`: the expert accepts a pending task.
-func (e *Engine) VerifyAttachment(vid int64) error {
-	var wb *walBinding
-	err := func() error {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		wb = e.wal
-		// Unknown VIDs are rejected before logging: a no-op needs no
-		// record. The verdict record carries the annotation and tuple so
-		// replay can re-apply the acceptance even when the task's
-		// submission predates the last checkpoint.
-		task, err := e.findPending(vid)
-		if err != nil {
-			return err
-		}
-		if err := e.walAppend(recVerdict(task, true)); err != nil {
-			return err
-		}
-		return e.verifyAttachment(vid)
-	}()
-	return wb.commit(err)
-}
-
-func (e *Engine) verifyAttachment(vid int64) error {
-	task, err := e.findPending(vid)
-	if err != nil {
-		return err
-	}
-	if err := e.manager.Verify(vid, e.store.Focal(task.Annotation)); err != nil {
-		return err
-	}
-	e.bumpMutEpochFor(task.Annotation)
-	return nil
-}
+func (e *Engine) VerifyAttachment(vid int64) error { return e.decide(vid, true) }
 
 // RejectAttachment implements `Reject Attachement <vid>`.
-func (e *Engine) RejectAttachment(vid int64) error {
+func (e *Engine) RejectAttachment(vid int64) error { return e.decide(vid, false) }
+
+// decide is one verdict under the engine lock, made durable after it.
+func (e *Engine) decide(vid int64, accept bool) error {
 	var wb *walBinding
 	err := func() error {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		wb = e.wal
-		task, err := e.findPending(vid)
-		if err != nil {
-			return err
-		}
-		if err := e.walAppend(recVerdict(task, false)); err != nil {
-			return err
-		}
-		return e.rejectAttachment(vid)
+		return e.verdict(vid, accept)
 	}()
 	return wb.commit(err)
 }
 
-func (e *Engine) rejectAttachment(vid int64) error {
-	task, err := e.findPending(vid)
-	if err != nil {
+// verdict is one expert decision on a pending task, shared by every live
+// path: measure an acceptance's hop distance from the annotation's focal
+// as it stands now, log, apply. Unknown VIDs are refused before logging —
+// a no-op needs no record. Caller holds e.mu in write mode.
+func (e *Engine) verdict(vid int64, accept bool) error {
+	task, ok := e.manager.Pending(vid)
+	if !ok {
+		return fmt.Errorf("nebula: no pending task v%d", vid)
+	}
+	var hops []byte
+	if accept {
+		hops = e.manager.MeasureVerify(vid)
+	}
+	rec := recVerdict(task, accept, hops)
+	if err := e.walAppend(rec); err != nil {
 		return err
 	}
-	if err := e.manager.Reject(vid); err != nil {
-		return err
-	}
-	e.bumpMutEpochFor(task.Annotation)
-	return nil
-}
-
-func (e *Engine) findPending(vid int64) (*VerificationTask, error) {
-	if t, ok := e.manager.Pending(vid); ok {
-		return t, nil
-	}
-	return nil, fmt.Errorf("nebula: no pending task v%d", vid)
+	return e.applyVerdict(rec)
 }
 
 // ResolveWithOracle resolves an annotation's pending tasks using an oracle
-// (the experiments' simulated expert). Each decision is logged as its own
-// verdict record — the oracle's answers, not the oracle, are what replay
-// re-applies.
+// (the experiments' simulated expert). Each decision is its own verdict —
+// logged as its own record, and an acceptance measured against the focal
+// the decisions before it left — so the oracle's answers, not the oracle,
+// are what replay re-applies.
 func (e *Engine) ResolveWithOracle(id AnnotationID, oracle Oracle) (accepted, rejected []*VerificationTask, err error) {
 	var wb *walBinding
 	accepted, rejected, err = func() (acc, rej []*VerificationTask, err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		wb = e.wal
-		defer func() {
-			if len(acc) > 0 || len(rej) > 0 {
-				e.bumpMutEpochFor(id)
-			}
-		}()
-		focal := e.store.Focal(id)
 		for _, t := range e.manager.PendingTasks() {
 			if t.Annotation != id {
 				continue
 			}
 			related := oracle.IsRelated(id, t.Tuple)
-			if err := e.walAppend(recVerdict(t, related)); err != nil {
+			if err := e.verdict(t.VID, related); err != nil {
 				return acc, rej, err
 			}
 			if related {
-				if err := e.manager.Verify(t.VID, focal); err != nil {
-					return acc, rej, err
-				}
 				acc = append(acc, t)
 			} else {
-				if err := e.manager.Reject(t.VID); err != nil {
-					return acc, rej, err
-				}
 				rej = append(rej, t)
 			}
 		}

@@ -477,16 +477,7 @@ func (e *Engine) drainLocked(ctx context.Context, max int) (res IngestDrainResul
 			e.ingest.failed++
 			continue
 		}
-		degraded := len(s.disc.Degraded()) > 0
-		submit := e.manager.Submit
-		if degraded {
-			submit = e.manager.SubmitDegraded
-		}
-		if err := e.walAppend(recSubmit(s.job.Annotation, s.disc, degraded, e.manager.NextVID())); err != nil {
-			return fail(i, err)
-		}
-		e.bumpMutEpochFor(s.job.Annotation)
-		if _, err := submit(s.job.Annotation, s.disc.Focal, s.disc.Candidates); err != nil {
+		if _, err := e.submit(s.job.Annotation, s.disc); err != nil {
 			return fail(i, err)
 		}
 		if err := e.walAppend(recIngestDone(s.job.Annotation)); err != nil {

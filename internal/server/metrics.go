@@ -337,6 +337,7 @@ func renderWALMetrics(w io.Writer, ws nebula.WALStats, dirSyncFailures int64) {
 	fmt.Fprintf(w, "# TYPE nebula_wal_active_segment gauge\nnebula_wal_active_segment %d\n", ws.Log.ActiveSegment)
 	fmt.Fprintf(w, "# TYPE nebula_wal_checkpoints_total counter\nnebula_wal_checkpoints_total %d\n", ws.Checkpoints)
 	fmt.Fprintf(w, "# TYPE nebula_wal_replay_records counter\nnebula_wal_replay_records %d\n", ws.Replay.Records)
+	fmt.Fprintf(w, "# TYPE nebula_wal_replay_searches counter\nnebula_wal_replay_searches %d\n", ws.Replay.Searches)
 	fmt.Fprintf(w, "# TYPE nebula_wal_replay_seconds gauge\nnebula_wal_replay_seconds %g\n", ws.Replay.Duration.Seconds())
 	fmt.Fprintf(w, "# TYPE nebula_wal_replay_corrupt_tail gauge\nnebula_wal_replay_corrupt_tail %d\n", boolGauge(ws.Replay.CorruptTail))
 	fmt.Fprintf(w, "# TYPE nebula_wal_replay_discarded_bytes gauge\nnebula_wal_replay_discarded_bytes %d\n", ws.Replay.DiscardedBytes)

@@ -1,6 +1,7 @@
 package verification
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -60,17 +61,6 @@ func (m *Manager) SetNextVID(v int64) {
 	}
 }
 
-// ForceAccept applies the acceptance side effects (attach, ACG edge,
-// profile update) for an attachment whose pending task no longer exists —
-// the WAL-replay path for an expert verdict whose task cannot be found in
-// the pending map (a snapshot written before the queue became snapshot
-// state, with the submission itself pruned by a checkpoint). It is exactly
-// Verify without the pending-map lookup.
-func (m *Manager) ForceAccept(a annotation.ID, tuple relational.TupleID, focal []relational.TupleID) error {
-	task := &Task{Annotation: a, Tuple: tuple, Decision: ExpertAccepted, Confidence: 1}
-	return m.applyAcceptances(a, focal, []*Task{task})
-}
-
 // RestoreTasks reinstates a snapshot's pending expert queue and VID
 // counter. The counter never moves backwards: it lands past both the
 // recorded nextVID and every restored task's VID, so tasks submitted
@@ -104,62 +94,133 @@ type Outcome struct {
 	Pending []*Task
 }
 
-// Submit routes the discovered candidates of one annotation. Candidates
-// above β_upper are accepted immediately; below β_lower they are discarded;
-// the rest become pending tasks queryable via PendingTasks and resolvable
-// with Verify/Reject.
+// Stage 3 runs in two steps, so that the WAL can log what the first one
+// measured and replay can apply it without searching:
 //
-// The hop-profile update runs against the ACG state *before* the new edges
-// are added (per §6.3's profile-update protocol), so Submit measures all
-// accepted tuples' distances first, then applies the graph updates.
-func (m *Manager) Submit(a annotation.ID, focal []relational.TupleID, candidates []discovery.Candidate) (Outcome, error) {
-	return m.submit(a, focal, candidates, false)
+//   - measure (MeasureSubmit, MeasureVerify) computes the ACG hop distance
+//     of every would-be acceptance from the annotation's focal, against
+//     the graph *before* any of the batch's edges are added (§6.3's
+//     profile-update protocol), and mutates nothing;
+//   - apply (Submit, Verify) records those distances in the hop profile,
+//     then attaches, adds the ACG edges and routes the pending tasks.
+//
+// Distances travel as one uvarint of d+1 per acceptance, in routing
+// order, with 0 meaning the focal cannot reach the tuple. A manager built
+// without a graph or profile measures nothing and ignores the distances.
+
+// MeasureSubmit is Submit's measure step: the encoded hop distances of the
+// candidates Submit would auto-accept under the current bounds.
+func (m *Manager) MeasureSubmit(focal []relational.TupleID, candidates []discovery.Candidate, degraded bool) []byte {
+	var hops []byte
+	for _, c := range candidates {
+		if m.route(c.Confidence, degraded) == AutoAccepted {
+			hops = m.measure(hops, c.Tuple.ID, focal)
+		}
+	}
+	return hops
 }
 
-// SubmitDegraded routes the candidates of a degraded discovery run — one
-// that was truncated by a budget, interrupted by a deadline, or forced off
-// its configured search strategy. Confidences from such runs are computed
-// against an incomplete evidence base (normalization saw only part of the
-// result set), so nothing is auto-accepted: candidates that would clear
-// β_upper become pending expert-verification tasks instead. Auto-rejection
-// below β_lower still applies — a truncated run only ever under-reports
-// confidence-inflating evidence for the tuples it did produce.
-func (m *Manager) SubmitDegraded(a annotation.ID, focal []relational.TupleID, candidates []discovery.Candidate) (Outcome, error) {
-	return m.submit(a, focal, candidates, true)
+// MeasureVerify is Verify's measure step: the encoded hop distance of
+// pending task vid's tuple from its annotation's focal as it stands now.
+// It returns nil when vid is not pending.
+func (m *Manager) MeasureVerify(vid int64) []byte {
+	task, ok := m.pending[vid]
+	if !ok {
+		return nil
+	}
+	return m.measure(nil, task.Tuple, m.store.Focal(task.Annotation))
 }
 
-func (m *Manager) submit(a annotation.ID, focal []relational.TupleID, candidates []discovery.Candidate, degraded bool) (Outcome, error) {
+func (m *Manager) measure(hops []byte, t relational.TupleID, focal []relational.TupleID) []byte {
+	if m.graph == nil || m.profile == nil {
+		return hops
+	}
+	d, reachable := m.graph.HopsToAny(t, focal)
+	if !reachable {
+		return binary.AppendUvarint(hops, 0)
+	}
+	return binary.AppendUvarint(hops, uint64(d)+1)
+}
+
+// recordHops checks that hops holds exactly n distances, then records them
+// in the profile. It mutates nothing when the check fails.
+func (m *Manager) recordHops(hops []byte, n int) error {
+	if m.graph == nil || m.profile == nil {
+		return nil
+	}
+	count := 0
+	for rest := hops; len(rest) > 0; count++ {
+		_, k := binary.Uvarint(rest)
+		if k <= 0 {
+			return fmt.Errorf("verification: malformed hop distances")
+		}
+		rest = rest[k:]
+	}
+	if count != n {
+		return fmt.Errorf("verification: %d hop distances for %d acceptances", count, n)
+	}
+	for rest := hops; len(rest) > 0; {
+		v, k := binary.Uvarint(rest)
+		rest = rest[k:]
+		m.profile.Record(int(v)-1, v > 0)
+	}
+	return nil
+}
+
+// route is the bounds decision for one candidate. A degraded discovery run
+// — truncated by a budget, interrupted by a deadline, or forced off its
+// configured search strategy — computed its confidences against an
+// incomplete evidence base, so nothing is auto-accepted: candidates that
+// would clear β_upper become pending expert-verification tasks instead.
+// Auto-rejection below β_lower still applies — a truncated run only ever
+// under-reports confidence-inflating evidence for the tuples it did
+// produce.
+func (m *Manager) route(confidence float64, degraded bool) Decision {
+	d := m.bounds.Route(confidence)
+	if degraded && d == AutoAccepted {
+		return Pending
+	}
+	return d
+}
+
+// Submit is the apply step of routing one annotation's discovered
+// candidates. Candidates above β_upper are accepted immediately; below
+// β_lower they are discarded; the rest become pending tasks queryable via
+// PendingTasks and resolvable with Verify/Reject; a degraded run
+// auto-accepts nothing (see route). hops must be what
+// MeasureSubmit returned for the same candidates; a count that does not
+// match the acceptances is an error, and nothing is applied.
+func (m *Manager) Submit(a annotation.ID, candidates []discovery.Candidate, degraded bool, hops []byte) (Outcome, error) {
 	var out Outcome
 	if _, ok := m.store.Get(a); !ok {
 		return out, fmt.Errorf("verification: unknown annotation %q", a)
 	}
-	for _, c := range candidates {
+	for i, c := range candidates {
 		task := &Task{
-			VID:        m.nextVID,
+			VID:        m.nextVID + int64(i),
 			Annotation: a,
 			Tuple:      c.Tuple.ID,
 			Confidence: c.Confidence,
 			Evidence:   append([]string(nil), c.Evidence...),
-			Decision:   m.bounds.Route(c.Confidence),
+			Decision:   m.route(c.Confidence, degraded),
 		}
-		if degraded && task.Decision == AutoAccepted {
-			task.Decision = Pending
-		}
-		m.nextVID++
 		switch task.Decision {
 		case AutoAccepted:
 			out.Accepted = append(out.Accepted, task)
 		case AutoRejected:
 			out.Rejected = append(out.Rejected, task)
 		default:
-			m.pending[task.VID] = task
 			out.Pending = append(out.Pending, task)
 		}
 	}
-	if err := m.applyAcceptances(a, focal, out.Accepted); err != nil {
-		return out, err
+	if err := m.recordHops(hops, len(out.Accepted)); err != nil {
+		return Outcome{}, err
 	}
-	return out, nil
+	m.nextVID += int64(len(candidates))
+	for _, t := range out.Pending {
+		m.pending[t.VID] = t
+	}
+	return out, m.attach(a, out.Accepted)
 }
 
 // Pending returns the pending task with the given VID, if any — the
@@ -170,19 +231,10 @@ func (m *Manager) Pending(vid int64) (*Task, bool) {
 	return t, ok
 }
 
-// applyAcceptances runs the acceptance side effects for a batch of tasks of
-// one annotation.
-func (m *Manager) applyAcceptances(a annotation.ID, focal []relational.TupleID, tasks []*Task) error {
-	if len(tasks) == 0 {
-		return nil
-	}
-	// Measure hop distances before mutating the graph.
-	if m.profile != nil && m.graph != nil {
-		for _, t := range tasks {
-			hops, reachable := m.graph.HopsToAny(t.Tuple, focal)
-			m.profile.Record(hops, reachable)
-		}
-	}
+// attach applies the graph side of the acceptance side effects for a
+// batch of tasks of one annotation: the true attachments and their ACG
+// edges.
+func (m *Manager) attach(a annotation.ID, tasks []*Task) error {
 	for _, t := range tasks {
 		if _, err := m.store.Attach(annotation.Attachment{
 			Annotation: a,
@@ -227,16 +279,18 @@ func (m *Manager) PendingTasksByPriority() []*Task {
 
 // Verify implements `Verify Attachment <vid>`: the expert accepts the
 // pending task, which triggers the same side effects as auto-acceptance.
-// focal must be the annotation's focal at submission time (used for the
-// profile update).
-func (m *Manager) Verify(vid int64, focal []relational.TupleID) error {
+// hops must be what MeasureVerify returned for vid.
+func (m *Manager) Verify(vid int64, hops []byte) error {
 	task, ok := m.pending[vid]
 	if !ok {
 		return fmt.Errorf("verification: no pending task v%d", vid)
 	}
+	if err := m.recordHops(hops, 1); err != nil {
+		return err
+	}
 	delete(m.pending, vid)
 	task.Decision = ExpertAccepted
-	return m.applyAcceptances(task.Annotation, focal, []*Task{task})
+	return m.attach(task.Annotation, []*Task{task})
 }
 
 // Reject implements `Reject Attachment <vid>`: the expert discards the
@@ -288,15 +342,16 @@ func (m *Manager) CancelTasksForAnnotation(a annotation.ID) int {
 }
 
 // ResolveWithOracle resolves every pending task of the annotation using an
-// oracle (the experiments' simulated expert). It returns the positively and
-// negatively verified tasks.
-func (m *Manager) ResolveWithOracle(a annotation.ID, focal []relational.TupleID, oracle Oracle) (accepted, rejected []*Task, err error) {
+// oracle (the experiments' simulated expert), one verdict at a time: each
+// acceptance is measured against the focal the verdicts before it left.
+// It returns the positively and negatively verified tasks.
+func (m *Manager) ResolveWithOracle(a annotation.ID, oracle Oracle) (accepted, rejected []*Task, err error) {
 	for _, t := range m.PendingTasks() {
 		if t.Annotation != a {
 			continue
 		}
 		if oracle.IsRelated(a, t.Tuple) {
-			if err := m.Verify(t.VID, focal); err != nil {
+			if err := m.Verify(t.VID, m.MeasureVerify(t.VID)); err != nil {
 				return nil, nil, err
 			}
 			accepted = append(accepted, t)

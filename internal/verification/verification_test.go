@@ -46,6 +46,11 @@ func fixtureDB(t testing.TB, n int) *relational.Database {
 	return db
 }
 
+// submit runs Submit's two steps back to back, as the engine does live.
+func submit(m *Manager, a annotation.ID, degraded bool, focal []relational.TupleID, candidates []discovery.Candidate) (Outcome, error) {
+	return m.Submit(a, candidates, degraded, m.MeasureSubmit(focal, candidates, degraded))
+}
+
 func TestBoundsRoute(t *testing.T) {
 	b := Bounds{Lower: 0.32, Upper: 0.86}
 	if b.Route(0.1) != AutoRejected {
@@ -99,7 +104,7 @@ func managerFixture(t *testing.T) (*relational.Database, *annotation.Store, *acg
 func TestSubmitRouting(t *testing.T) {
 	db, store, graph, profile, m := managerFixture(t)
 	focal := []relational.TupleID{tup(0)}
-	out, err := m.Submit("a1", focal, []discovery.Candidate{
+	out, err := submit(m, "a1", false, focal, []discovery.Candidate{
 		cand(t, db, 1, 0.95), // auto-accept
 		cand(t, db, 2, 0.5),  // pending
 		cand(t, db, 3, 0.1),  // auto-reject
@@ -137,7 +142,7 @@ func TestSubmitRouting(t *testing.T) {
 func TestSubmitDegradedRoutesAcceptsToPending(t *testing.T) {
 	db, store, _, _, m := managerFixture(t)
 	focal := []relational.TupleID{tup(0)}
-	out, err := m.SubmitDegraded("a1", focal, []discovery.Candidate{
+	out, err := submit(m, "a1", true, focal, []discovery.Candidate{
 		cand(t, db, 1, 0.95), // would auto-accept; must go pending
 		cand(t, db, 2, 0.5),  // pending either way
 		cand(t, db, 3, 0.1),  // auto-reject still applies
@@ -160,7 +165,7 @@ func TestSubmitDegradedRoutesAcceptsToPending(t *testing.T) {
 	if top.Confidence != 0.95 {
 		t.Errorf("confidence lost in rerouting: %f", top.Confidence)
 	}
-	if err := m.Verify(top.VID, focal); err != nil {
+	if err := m.Verify(top.VID, m.MeasureVerify(top.VID)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := store.Edge("a1", tup(1)); !ok {
@@ -170,7 +175,7 @@ func TestSubmitDegradedRoutesAcceptsToPending(t *testing.T) {
 
 func TestPendingLookupByVID(t *testing.T) {
 	db, _, _, _, m := managerFixture(t)
-	out, err := m.Submit("a1", []relational.TupleID{tup(0)}, []discovery.Candidate{
+	out, err := submit(m, "a1", false, []relational.TupleID{tup(0)}, []discovery.Candidate{
 		cand(t, db, 2, 0.5),
 		cand(t, db, 3, 0.6),
 	})
@@ -198,7 +203,7 @@ func TestPendingLookupByVID(t *testing.T) {
 
 func TestSubmitUnknownAnnotation(t *testing.T) {
 	db, _, _, _, m := managerFixture(t)
-	if _, err := m.Submit("nope", nil, []discovery.Candidate{cand(t, db, 1, 0.9)}); err == nil {
+	if _, err := submit(m, "nope", false, nil, []discovery.Candidate{cand(t, db, 1, 0.9)}); err == nil {
 		t.Error("unknown annotation should fail")
 	}
 }
@@ -206,7 +211,7 @@ func TestSubmitUnknownAnnotation(t *testing.T) {
 func TestVerifyAndRejectCommands(t *testing.T) {
 	db, store, _, _, m := managerFixture(t)
 	focal := []relational.TupleID{tup(0)}
-	out, err := m.Submit("a1", focal, []discovery.Candidate{
+	out, err := submit(m, "a1", false, focal, []discovery.Candidate{
 		cand(t, db, 2, 0.5),
 		cand(t, db, 3, 0.6),
 	})
@@ -217,7 +222,7 @@ func TestVerifyAndRejectCommands(t *testing.T) {
 		t.Fatalf("pending = %d", len(m.PendingTasks()))
 	}
 	vid := out.Pending[0].VID
-	if err := m.Verify(vid, focal); err != nil {
+	if err := m.Verify(vid, m.MeasureVerify(vid)); err != nil {
 		t.Fatal(err)
 	}
 	if out.Pending[0].Decision != ExpertAccepted {
@@ -226,7 +231,7 @@ func TestVerifyAndRejectCommands(t *testing.T) {
 	if _, ok := store.Edge("a1", out.Pending[0].Tuple); !ok {
 		t.Error("verified attachment missing")
 	}
-	if err := m.Verify(vid, focal); err == nil {
+	if err := m.Verify(vid, m.MeasureVerify(vid)); err == nil {
 		t.Error("double verify should fail")
 	}
 	vid2 := out.Pending[1].VID
@@ -247,7 +252,7 @@ func TestVerifyAndRejectCommands(t *testing.T) {
 func TestResolveWithOracle(t *testing.T) {
 	db, store, _, _, m := managerFixture(t)
 	focal := []relational.TupleID{tup(0)}
-	_, err := m.Submit("a1", focal, []discovery.Candidate{
+	_, err := submit(m, "a1", false, focal, []discovery.Candidate{
 		cand(t, db, 2, 0.5),
 		cand(t, db, 3, 0.6),
 		cand(t, db, 4, 0.7),
@@ -256,7 +261,7 @@ func TestResolveWithOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := NewIdealTupleOracle("a1", []relational.TupleID{tup(0), tup(2), tup(4)})
-	acc, rej, err := m.ResolveWithOracle("a1", focal, oracle)
+	acc, rej, err := m.ResolveWithOracle("a1", oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +460,7 @@ func TestManagerSetBounds(t *testing.T) {
 func TestPendingTasksByPriority(t *testing.T) {
 	db, _, _, _, m := managerFixture(t)
 	focal := []relational.TupleID{tup(0)}
-	_, err := m.Submit("a1", focal, []discovery.Candidate{
+	_, err := submit(m, "a1", false, focal, []discovery.Candidate{
 		cand(t, db, 2, 0.40),
 		cand(t, db, 3, 0.80),
 		cand(t, db, 4, 0.60),
@@ -470,5 +475,66 @@ func TestPendingTasksByPriority(t *testing.T) {
 	if tasks[0].Confidence != 0.80 || tasks[1].Confidence != 0.60 || tasks[2].Confidence != 0.40 {
 		t.Errorf("not priority ordered: %v %v %v",
 			tasks[0].Confidence, tasks[1].Confidence, tasks[2].Confidence)
+	}
+}
+
+// TestWALLoggedHopsApplyAsMeasured pins the measure/apply split the WAL
+// relies on: distances measured on one manager and applied to another
+// whose graph would measure differently leave the same profile, so apply
+// never searches; and distances that do not match the acceptances are an
+// error that applies nothing.
+func TestWALLoggedHopsApplyAsMeasured(t *testing.T) {
+	db, _, graph, live, m := managerFixture(t)
+	graph.AddAnnotation("seed2", []relational.TupleID{tup(1), tup(2)})
+	focal := []relational.TupleID{tup(0)}
+	cands := []discovery.Candidate{
+		cand(t, db, 1, 0.95), // 1 hop
+		cand(t, db, 2, 0.50), // pending; 1 hop from tup(1) once that joins the focal
+		cand(t, db, 5, 0.90), // unreachable
+	}
+	hops := m.MeasureSubmit(focal, cands, false)
+	out, err := m.Submit("a1", cands, false, hops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vid := out.Pending[0].VID
+	verifyHops := m.MeasureVerify(vid)
+	if err := m.Verify(vid, verifyHops); err != nil {
+		t.Fatal(err)
+	}
+
+	// The replica's ACG holds no edges at all: searching it would find
+	// every tuple unreachable.
+	_, _, _, replayed, r := managerFixture(t)
+	r.graph = acg.New(0, 0)
+	if _, err := r.Submit("a1", cands, false, hops[:1]); err == nil {
+		t.Fatal("Submit accepted one distance for two acceptances")
+	}
+	if _, err := r.Submit("a1", cands, false, []byte{0x80}); err == nil {
+		t.Fatal("Submit accepted a malformed distance")
+	}
+	if replayed.Total() != 0 || r.NextVID() != 0 || len(r.PendingTasks()) != 0 {
+		t.Fatalf("a refused Submit applied state: profile %d, next VID %d, %d pending",
+			replayed.Total(), r.NextVID(), len(r.PendingTasks()))
+	}
+	if _, err := r.Submit("a1", cands, false, hops); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Verify(vid, nil); err == nil {
+		t.Fatal("Verify accepted no distance for one acceptance")
+	}
+	if _, ok := r.Pending(vid); !ok {
+		t.Fatal("a refused Verify resolved its task")
+	}
+	if err := r.Verify(vid, verifyHops); err != nil {
+		t.Fatal(err)
+	}
+	wantB, wantU := live.Counts()
+	gotB, gotU := replayed.Counts()
+	if fmt.Sprint(gotB, gotU) != fmt.Sprint(wantB, wantU) {
+		t.Fatalf("applied profile %v/%d, measured %v/%d", gotB, gotU, wantB, wantU)
+	}
+	if fmt.Sprint(wantB, wantU) != "[0 2] 1" {
+		t.Fatalf("fixture measured %v/%d, want two tuples at 1 hop and one unreachable", wantB, wantU)
 	}
 }

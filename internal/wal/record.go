@@ -35,12 +35,15 @@ const (
 	OpDeleteRow
 	// OpSubmit records the verification routing of one discovery's
 	// computed candidates (Process/ProcessRequest Stage 3). FirstVID pins
-	// the VID counter so replayed tasks get identical identifiers.
+	// the VID counter so replayed tasks get identical identifiers; Hops
+	// carries the hop distance measured live for every auto-accepted
+	// candidate, so replay records it in the hop profile without
+	// searching the ACG.
 	OpSubmit
 	// OpVerdict records one expert decision: accept or reject of a
-	// pending verification task. The annotation and tuple travel with the
-	// VID so acceptance effects can be re-applied even when the pending
-	// task itself predates the last checkpoint.
+	// pending verification task, named by its VID with the annotation and
+	// tuple beside it. An acceptance carries its measured hop distance in
+	// Hops.
 	OpVerdict
 	// OpSetBounds records a verification-threshold change (SetBounds or
 	// the result of TuneBounds).
@@ -148,6 +151,14 @@ type Record struct {
 	// OpVerdict
 	VID    int64
 	Accept bool
+
+	// OpSubmit and accepting OpVerdict: the ACG hop distance of each
+	// acceptance from the annotation's focal, measured before any of the
+	// record's edges were added, in routing order — one uvarint of d+1,
+	// 0 for a tuple the focal could not reach. Nil on a record with
+	// acceptances means it was written before records carried distances,
+	// and replay measures them again.
+	Hops []byte
 
 	// OpSetBounds
 	Lower, Upper float64

@@ -24,6 +24,11 @@ type ReplayStats struct {
 	// (the WAL records intent before the engine validates it), so the
 	// replayed state still converges on the pre-crash state.
 	ApplyErrors int
+	// Searches counts the records whose apply still searched the ACG:
+	// Stage-3 acceptances logged before records carried the hop distances
+	// measured live. A log written since replays with none. Replay itself
+	// leaves it zero; the engine's apply fills it in.
+	Searches int
 	// CorruptTail reports that the LAST segment ended in a torn or
 	// corrupt record, which was discarded — the expected signature of a
 	// crash mid-append. Replay also truncates the segment file to its
@@ -178,6 +183,12 @@ type SegmentInfo struct {
 	// CorruptTail reports a torn/corrupt trailing record (discarded at
 	// replay).
 	CorruptTail bool `json:"corrupt_tail,omitempty"`
+	// Searches bounds the records whose replay searches the ACG (see
+	// ReplayStats.Searches). A segment holding any record with hop
+	// distances was written since records carried them and counts none;
+	// otherwise every accepting verdict and every submit with candidates
+	// counts, although a submit that accepted nothing does not search.
+	Searches int `json:"searches,omitempty"`
 }
 
 // Inspect scans dir's segments without applying anything and reports their
@@ -200,8 +211,9 @@ func Inspect(dir string, fsys vfs.FS) ([]SegmentInfo, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wal: open segment %d: %w", seg, err)
 		}
+		hops := false
 		for {
-			_, err := DecodeRecord(f)
+			rec, err := DecodeRecord(f)
 			if errors.Is(err, io.EOF) {
 				break
 			}
@@ -210,8 +222,15 @@ func Inspect(dir string, fsys vfs.FS) ([]SegmentInfo, error) {
 				break
 			}
 			info.Records++
+			hops = hops || rec.Hops != nil
+			if (rec.Op == OpVerdict && rec.Accept) || (rec.Op == OpSubmit && len(rec.Candidates) > 0) {
+				info.Searches++
+			}
 		}
 		f.Close()
+		if hops {
+			info.Searches = 0
+		}
 		infos = append(infos, info)
 	}
 	return infos, nil

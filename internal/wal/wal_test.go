@@ -479,3 +479,53 @@ func TestConcurrentCommitters(t *testing.T) {
 		t.Errorf("replayed %d records", n)
 	}
 }
+
+// TestWALInspectBoundsReplaySearches: a segment of Stage-3 records without
+// hop distances is counted as searching at replay; one whose records
+// carry them counts nothing, and the distances survive the round trip.
+func TestWALInspectBoundsReplaySearches(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := &Record{Op: OpSubmit, Ann: "a1", FirstVID: 7,
+		Candidates: []CandidateRef{{Tuple: TupleRef{Table: "Protein", Key: "p00001"}, Confidence: 0.9}}}
+	verdict := &Record{Op: OpVerdict, Ann: "a1", Tuple: TupleRef{Table: "Protein", Key: "p00002"}, VID: 8, Accept: true}
+	reject := &Record{Op: OpVerdict, Ann: "a1", VID: 9}
+	for _, rec := range []*Record{submit, verdict, reject} {
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	submit.Hops = []byte{2}
+	verdict.Hops = []byte{0}
+	for _, rec := range []*Record{submit, verdict, reject} {
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	infos, err := Inspect(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 2 || infos[0].Searches != 2 || infos[1].Searches != 0 {
+		t.Fatalf("infos = %+v, want 2 searches in the first segment and none in the second", infos)
+	}
+	var got [][]byte
+	if _, err := Replay(dir, ReplayConfig{FromSegment: 2}, func(rec *Record) error {
+		got = append(got, rec.Hops)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, [][]byte{{2}, {0}, nil}) {
+		t.Fatalf("replayed hop distances %v", got)
+	}
+}

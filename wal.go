@@ -25,6 +25,11 @@ import (
 //   - Records are logical and replay deterministically: outcome-dependent
 //     operations (discovery routing, oracle resolutions, bounds tuning)
 //     log their computed result, never the computation.
+//   - Stage 3 is measure, log, apply: submit and verdict measure the hop
+//     distance of every acceptance live, the record carries it, and the
+//     apply half (applySubmit, applyVerdict) is the one replay runs — so
+//     replay never searches the ACG. Only a record logged before records
+//     carried distances is measured again (ReplayStats.Searches).
 //   - Recovery is RestoreEngine (or a fresh engine) + ReplayWAL +
 //     AttachWAL; Checkpoint folds the replayed state into a snapshot and
 //     prunes the covered segments.
@@ -211,7 +216,7 @@ func rowMutationRecord(m relational.RowMutation) *wal.Record {
 	}
 }
 
-func recSubmit(id AnnotationID, disc *Discovery, degraded bool, firstVID int64) *wal.Record {
+func recSubmit(id AnnotationID, disc *Discovery, degraded bool, firstVID int64, hops []byte) *wal.Record {
 	cands := make([]wal.CandidateRef, len(disc.Candidates))
 	for i, c := range disc.Candidates {
 		cands[i] = wal.CandidateRef{
@@ -227,16 +232,18 @@ func recSubmit(id AnnotationID, disc *Discovery, degraded bool, firstVID int64) 
 		Candidates: cands,
 		Degraded:   degraded,
 		FirstVID:   firstVID,
+		Hops:       hops,
 	}
 }
 
-func recVerdict(t *VerificationTask, accept bool) *wal.Record {
+func recVerdict(t *VerificationTask, accept bool, hops []byte) *wal.Record {
 	return &wal.Record{
 		Op:     wal.OpVerdict,
 		Ann:    string(t.Annotation),
 		Tuple:  tupleRef(t.Tuple),
 		VID:    t.VID,
 		Accept: accept,
+		Hops:   hops,
 	}
 }
 
@@ -278,8 +285,11 @@ func (e *Engine) ReplayWAL(dir string, fsys vfs.FS) (wal.ReplayStats, error) {
 	if e.wal != nil {
 		return wal.ReplayStats{}, fmt.Errorf("nebula: ReplayWAL must run before AttachWAL")
 	}
-	return wal.Replay(dir, wal.ReplayConfig{FS: fsys, FromSegment: e.walBaseSegment},
-		func(rec *wal.Record) error { return e.applyRecord(rec) })
+	searches := 0
+	stats, err := wal.Replay(dir, wal.ReplayConfig{FS: fsys, FromSegment: e.walBaseSegment},
+		func(rec *wal.Record) error { return e.applyRecord(rec, &searches) })
+	stats.Searches = searches
+	return stats, err
 }
 
 // RecoverWAL is the boot sequence in one call: replay dir's durable suffix
@@ -306,10 +316,37 @@ func (e *Engine) RecoverWAL(dir string, opts wal.Options) (wal.ReplayStats, erro
 	return stats, nil
 }
 
+// applySubmit is the apply half of submit, and what replay runs. Submit
+// mutates attachments, the ACG, and the hop profile even on partial
+// failure, so the epoch moves regardless of the outcome.
+func (e *Engine) applySubmit(rec *wal.Record, cands []Candidate) (VerificationOutcome, error) {
+	id := AnnotationID(rec.Ann)
+	e.bumpMutEpochFor(id)
+	return e.manager.Submit(id, cands, rec.Degraded, rec.Hops)
+}
+
+// applyVerdict is the apply half of verdict, and what replay runs.
+func (e *Engine) applyVerdict(rec *wal.Record) error {
+	var err error
+	if rec.Accept {
+		err = e.manager.Verify(rec.VID, rec.Hops)
+	} else {
+		err = e.manager.Reject(rec.VID)
+	}
+	if err != nil {
+		return err
+	}
+	e.bumpMutEpochFor(AnnotationID(rec.Ann))
+	return nil
+}
+
 // applyRecord replays one logged mutation. Caller holds e.mu in write
 // mode. The apply paths are exactly the live mutation cores — record
 // construction and durability are the only things the live wrappers add.
-func (e *Engine) applyRecord(rec *wal.Record) error {
+// A Stage-3 record that logs no hop distances for its acceptances was
+// written before records carried them: it is measured again, as the live
+// engine did then, and counted in *searches.
+func (e *Engine) applyRecord(rec *wal.Record, searches *int) error {
 	switch rec.Op {
 	case wal.OpAddAnnotation:
 		a := &Annotation{
@@ -365,31 +402,21 @@ func (e *Engine) applyRecord(rec *wal.Record) error {
 			}
 			cands = append(cands, Candidate{Tuple: row, Confidence: c.Confidence, Evidence: c.Evidence})
 		}
-		submit := e.manager.Submit
-		if rec.Degraded {
-			submit = e.manager.SubmitDegraded
+		if rec.Hops == nil {
+			if rec.Hops = e.manager.MeasureSubmit(refTuples(rec.Focal), cands, rec.Degraded); rec.Hops != nil {
+				*searches++
+			}
 		}
-		e.bumpMutEpochFor(AnnotationID(rec.Ann))
-		_, err := submit(AnnotationID(rec.Ann), refTuples(rec.Focal), cands)
+		_, err := e.applySubmit(rec, cands)
 		return err
 
 	case wal.OpVerdict:
-		if _, ok := e.manager.Pending(rec.VID); ok {
-			if rec.Accept {
-				return e.verifyAttachment(rec.VID)
+		if rec.Accept && rec.Hops == nil {
+			if rec.Hops = e.manager.MeasureVerify(rec.VID); rec.Hops != nil {
+				*searches++
 			}
-			return e.rejectAttachment(rec.VID)
 		}
-		// The task's submission predates the snapshot this replay layers
-		// on (pending tasks are process state, not snapshot state). A
-		// rejection's only effect was deleting the pending entry — gone
-		// already; an acceptance's durable side effects must be re-applied.
-		if !rec.Accept {
-			return nil
-		}
-		id := AnnotationID(rec.Ann)
-		e.bumpMutEpochFor(id)
-		return e.manager.ForceAccept(id, refTuple(rec.Tuple), e.store.Focal(id))
+		return e.applyVerdict(rec)
 
 	case wal.OpSetBounds:
 		return e.setBounds(Bounds{Lower: rec.Lower, Upper: rec.Upper})

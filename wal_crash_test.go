@@ -158,13 +158,12 @@ func runScript(t testing.TB, e *nebula.Engine, ds *workload.Dataset) {
 // vanish from both sides of a comparison. Two engines with equal
 // fingerprints are indistinguishable to every durable API.
 //
-// The hop profile is zeroed first: it is adaptive tuning statistics
-// updated by (otherwise read-only) discovery, explicitly outside the
-// durability contract — checkpoints carry it, replay does not rebuild
-// it, and losing post-checkpoint observations in a crash is acceptable.
+// The snapshot stream includes the hop profile: every acceptance records
+// its hop distance, snapshots carry the counts, and replay rebuilds them
+// from the distances the records log, so the profile that drives SelectK
+// survives a crash exactly.
 func fingerprint(t testing.TB, e *nebula.Engine) string {
 	t.Helper()
-	e.Profile().RestoreCounts(nil, 0)
 	var sb strings.Builder
 	var snap bytes.Buffer
 	if err := e.SaveSnapshot(&snap); err != nil {
@@ -283,9 +282,9 @@ func TestWALCrashRecoveryMatrix(t *testing.T) {
 		if stats.CorruptTail || stats.DiscardedBytes != 0 {
 			t.Fatalf("cut at boundary %d flagged corrupt: %+v", k, stats)
 		}
-		if stats.Records != k || stats.ApplyErrors != 0 {
-			t.Fatalf("cut at boundary %d: replayed %d records, %d apply errors",
-				k, stats.Records, stats.ApplyErrors)
+		if stats.Records != k || stats.ApplyErrors != 0 || stats.Searches != 0 {
+			t.Fatalf("cut at boundary %d: replayed %d records, %d apply errors, %d searches",
+				k, stats.Records, stats.ApplyErrors, stats.Searches)
 		}
 		fps[k] = fingerprint(t, re)
 		re2, _ := recoverImage(t, baseline, segName, data[:offs[k]])
@@ -690,5 +689,109 @@ func TestWALCheckpointPruneCrash(t *testing.T) {
 	}
 	if fingerprint(t, re2) != liveFP {
 		t.Fatal("baseline + full log recovery diverged")
+	}
+}
+
+// TestWALOracleResolutionMatchesSingleVerdicts runs the crash script up to
+// its oracle step twice: once through ResolveWithOracle, once sending the
+// same verdicts one at a time. Each acceptance records its hop distance
+// from the focal the verdicts before it left, so the two must leave the
+// same hop profile — and the same state everywhere else. Replay applies
+// verdicts one at a time, so a resolution that measured otherwise would
+// also come back different after a crash.
+func TestWALOracleResolutionMatchesSingleVerdicts(t *testing.T) {
+	run := func(single bool) (*nebula.Engine, int) {
+		e, ds, _ := crashFixture(t)
+		for _, s := range crashScript(e, ds) {
+			if s.name == "resolve-oracle-0" {
+				break
+			}
+			if err := s.run(); err != nil {
+				t.Fatalf("step %s: %v", s.name, err)
+			}
+		}
+		id := ds.WorkloadSet(500, workload.RefClass{Min: 4, Max: 6})[0].Ann.ID
+		oracle := nebula.IdealOracle(ds.Ideal)
+		if !single {
+			acc, _, err := e.ResolveWithOracle(id, oracle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e, len(acc)
+		}
+		accepted := 0
+		for _, task := range e.PendingTasks() { // ordered by VID, as ResolveWithOracle walks them
+			if task.Annotation != id {
+				continue
+			}
+			var err error
+			if oracle.IsRelated(id, task.Tuple) {
+				err = e.VerifyAttachment(task.VID)
+				accepted++
+			} else {
+				err = e.RejectAttachment(task.VID)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e, accepted
+	}
+	batch, n := run(false)
+	single, _ := run(true)
+	if n < 2 {
+		t.Fatalf("the oracle accepted %d tasks; the check needs two, so that the first moves the focal", n)
+	}
+	wantB, wantU := single.Profile().Counts()
+	gotB, gotU := batch.Profile().Counts()
+	if fmt.Sprint(gotB, gotU) != fmt.Sprint(wantB, wantU) {
+		t.Fatalf("ResolveWithOracle left hop profile %v (+%d unreachable); single verdicts left %v (+%d)",
+			gotB, gotU, wantB, wantU)
+	}
+	if fingerprint(t, batch) != fingerprint(t, single) {
+		t.Fatal("ResolveWithOracle and single verdicts left different states")
+	}
+}
+
+// TestWALLegacySegmentReplays replays a segment of the crash script logged
+// before Stage-3 records carried hop distances (testdata, written by the
+// engine of that time): its acceptances are measured again during replay,
+// and the result must match, hop profile included, the replay of this
+// engine's own log of the same script — which searches nothing.
+func TestWALLegacySegmentReplays(t *testing.T) {
+	legacy, err := os.ReadFile("testdata/wal-crashscript-without-hops.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ds, baseline := crashFixture(t)
+	walDir := t.TempDir()
+	l, err := wal.Open(walDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.AttachWAL(l)
+	runScript(t, e, ds)
+	liveFP := fingerprint(t, e)
+	if err := e.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	segName, current := segmentFile(t, walDir)
+
+	re, stats := recoverImage(t, baseline, segName, current)
+	if stats.Searches != 0 || stats.ApplyErrors != 0 {
+		t.Fatalf("replay of this engine's log: %+v, want no searches and no apply errors", stats)
+	}
+	if fingerprint(t, re) != liveFP {
+		t.Fatal("replay of this engine's log diverged from the live engine")
+	}
+	old, oldStats := recoverImage(t, baseline, segName, legacy)
+	if oldStats.Records != stats.Records || oldStats.ApplyErrors != 0 || oldStats.CorruptTail {
+		t.Fatalf("legacy replay: %+v; this engine's log replayed %d records", oldStats, stats.Records)
+	}
+	if oldStats.Searches == 0 {
+		t.Fatal("legacy replay searched nothing: its records carry no hop distances")
+	}
+	if fingerprint(t, old) != liveFP {
+		t.Fatal("legacy segment replayed to a different state")
 	}
 }
