@@ -13,10 +13,11 @@ import (
 )
 
 // cmdWALInfo inspects a write-ahead log directory without applying
-// anything: per-segment record and byte counts, whether the final
-// segment carries a torn tail (the expected signature of a crash
-// mid-append, discarded at replay), and a bound on the records whose
-// replay still searches the ACG because they log no hop distances.
+// anything: per-segment frame format, record and byte counts, bytes per
+// record, whether the final segment carries a torn tail (the expected
+// signature of a crash mid-append, discarded at replay), and a bound on
+// the records whose replay still searches the ACG because they log no hop
+// distances.
 func cmdWALInfo(args []string) error {
 	fs := flag.NewFlagSet("wal-info", flag.ExitOnError)
 	dir := fs.String("wal", "", "write-ahead log directory to inspect")
@@ -53,7 +54,12 @@ func cmdWALInfo(args []string) error {
 		if info.CorruptTail {
 			tail += "  TORN TAIL (discarded at replay)"
 		}
-		fmt.Printf("  segment %d: %6d records %10d bytes%s\n", info.Segment, info.Records, info.Bytes, tail)
+		perRecord := 0.0
+		if info.Records > 0 {
+			perRecord = float64(info.Bytes) / float64(info.Records)
+		}
+		fmt.Printf("  segment %d: %-5s %6d records %10d bytes %7.1f B/record%s\n",
+			info.Segment, info.Format, info.Records, info.Bytes, perRecord, tail)
 	}
 	fmt.Printf("%s: %d segments, %d records, %d bytes, <= %d replay searches\n", *dir, len(infos), records, bytes, searches)
 	return nil

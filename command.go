@@ -55,13 +55,29 @@ type CommandResult struct {
 // The `VERIFY | REJECT ATTACHMENT` commands are the paper's §7 extension
 // (the spelling ATTACHEMENT is accepted too); the rest round out the
 // surface a curator needs to operate the engine without writing Go.
+//
+// With a WAL attached, a statement returns only once the records it
+// appended are durable, as the matching Engine method does.
 func (e *Engine) ExecCommand(command string) (*CommandResult, error) {
 	stmt, err := sqlish.Parse(command)
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	var wb *walBinding
+	res, err := func() (*CommandResult, error) {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		wb = e.wal
+		return e.execStatement(stmt)
+	}()
+	if err = wb.commit(err); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// execStatement runs one parsed statement. Caller holds e.mu in write mode.
+func (e *Engine) execStatement(stmt sqlish.Statement) (*CommandResult, error) {
 	switch s := stmt.(type) {
 	case *sqlish.VerifyStmt:
 		if err := e.verdict(s.VID, true); err != nil {
@@ -125,6 +141,9 @@ func (e *Engine) execAnnotate(s *sqlish.AnnotateStmt) (*CommandResult, error) {
 		return nil, fmt.Errorf("nebula: no %s tuple with %s = %q", s.Table, t.Schema().PrimaryKey, s.PK)
 	}
 	a := &Annotation{ID: AnnotationID(s.ID), Body: s.Body}
+	if err := e.walAppend(recAddAnnotation(a, []TupleID{row.ID})); err != nil {
+		return nil, err
+	}
 	if err := e.addAnnotation(a, []TupleID{row.ID}); err != nil {
 		return nil, err
 	}

@@ -180,14 +180,20 @@ type SegmentInfo struct {
 	Segment uint64 `json:"segment"`
 	Bytes   int64  `json:"bytes"`
 	Records int    `json:"records"`
+	// Format names the frames the segment holds: "wal2" (every frame
+	// written since the binary codec), "wal1" (gob frames, written
+	// before), "mixed", or empty for a segment without records.
+	Format string `json:"format,omitempty"`
 	// CorruptTail reports a torn/corrupt trailing record (discarded at
 	// replay).
 	CorruptTail bool `json:"corrupt_tail,omitempty"`
 	// Searches bounds the records whose replay searches the ACG (see
-	// ReplayStats.Searches). A segment holding any record with hop
-	// distances was written since records carried them and counts none;
-	// otherwise every accepting verdict and every submit with candidates
-	// counts, although a submit that accepted nothing does not search.
+	// ReplayStats.Searches). Only WAL1 frames count: every WAL2 frame was
+	// written since records carried hop distances. Among WAL1 frames, a
+	// segment holding any record with hop distances was written since
+	// records carried them and counts none; otherwise every accepting
+	// verdict and every submit with candidates counts, although a submit
+	// that accepted nothing does not search.
 	Searches int `json:"searches,omitempty"`
 }
 
@@ -212,8 +218,9 @@ func Inspect(dir string, fsys vfs.FS) ([]SegmentInfo, error) {
 			return nil, fmt.Errorf("wal: open segment %d: %w", seg, err)
 		}
 		hops := false
+		formats := map[uint32]bool{}
 		for {
-			rec, err := DecodeRecord(f)
+			rec, guard, err := decodeFrame(f)
 			if errors.Is(err, io.EOF) {
 				break
 			}
@@ -222,6 +229,10 @@ func Inspect(dir string, fsys vfs.FS) ([]SegmentInfo, error) {
 				break
 			}
 			info.Records++
+			formats[guard] = true
+			if guard == frameGuard2 {
+				continue
+			}
 			hops = hops || rec.Hops != nil
 			if (rec.Op == OpVerdict && rec.Accept) || (rec.Op == OpSubmit && len(rec.Candidates) > 0) {
 				info.Searches++
@@ -230,6 +241,14 @@ func Inspect(dir string, fsys vfs.FS) ([]SegmentInfo, error) {
 		f.Close()
 		if hops {
 			info.Searches = 0
+		}
+		switch {
+		case len(formats) > 1:
+			info.Format = "mixed"
+		case formats[frameGuard1]:
+			info.Format = "wal1"
+		case formats[frameGuard2]:
+			info.Format = "wal2"
 		}
 		infos = append(infos, info)
 	}

@@ -2,8 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -30,6 +33,37 @@ func sampleRecords() []*Record {
 	}
 }
 
+// encodeRecordV1 frames r the way logs were written before WAL2 frames: a
+// WAL1 frame holding r as its own gob stream.
+func encodeRecordV1(t testing.TB, r *Record) []byte {
+	t.Helper()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(r); err != nil {
+		t.Fatal(err)
+	}
+	return frameWithGuard(payload.Bytes(), frameGuard1)
+}
+
+// frameWithGuard frames payload under the given guard word.
+func frameWithGuard(payload []byte, guard uint32) []byte {
+	length, sum := uint32(len(payload)), crc32.Checksum(payload, castagnoli)
+	frame := binary.LittleEndian.AppendUint32(nil, length)
+	frame = binary.LittleEndian.AppendUint32(frame, sum)
+	frame = binary.LittleEndian.AppendUint32(frame, length^sum^guard)
+	return append(frame, payload...)
+}
+
+// framesOfBothFormats returns rec as a WAL2 frame, as EncodeRecord writes
+// it, and as a WAL1 frame, as logs written before hold it.
+func framesOfBothFormats(t testing.TB, rec *Record) map[string][]byte {
+	t.Helper()
+	v2, err := EncodeRecord(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]byte{"wal1": encodeRecordV1(t, rec), "wal2": v2}
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	for i, rec := range sampleRecords() {
 		frame, err := EncodeRecord(nil, rec)
@@ -47,29 +81,63 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRecordCorruption(t *testing.T) {
-	rec := sampleRecords()[0]
-	frame, err := EncodeRecord(nil, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	// Clean EOF on empty stream.
 	if _, err := DecodeRecord(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
 		t.Errorf("empty stream: want io.EOF, got %v", err)
 	}
-	// Every strict prefix of the frame is corrupt, never EOF, never a
-	// record — a torn append must terminate replay, not be misread.
-	for cut := 1; cut < len(frame); cut++ {
-		if _, err := DecodeRecord(bytes.NewReader(frame[:cut])); !errors.Is(err, ErrCorruptRecord) {
-			t.Fatalf("prefix %d/%d: want ErrCorruptRecord, got %v", cut, len(frame), err)
+	for format, frame := range framesOfBothFormats(t, sampleRecords()[0]) {
+		// Every strict prefix of the frame is corrupt, never EOF, never a
+		// record — a torn append must terminate replay, not be misread.
+		for cut := 1; cut < len(frame); cut++ {
+			if _, err := DecodeRecord(bytes.NewReader(frame[:cut])); !errors.Is(err, ErrCorruptRecord) {
+				t.Fatalf("%s prefix %d/%d: want ErrCorruptRecord, got %v", format, cut, len(frame), err)
+			}
+		}
+		// Any single flipped bit is caught by the guard or the checksum.
+		for _, pos := range []int{0, 5, 9, frameHeaderSize, len(frame) - 1} {
+			mut := append([]byte(nil), frame...)
+			mut[pos] ^= 0x40
+			if _, err := DecodeRecord(bytes.NewReader(mut)); !errors.Is(err, ErrCorruptRecord) {
+				t.Errorf("%s flipped byte %d: want ErrCorruptRecord, got %v", format, pos, err)
+			}
 		}
 	}
-	// Any single flipped bit is caught by the guard or the checksum.
-	for _, pos := range []int{0, 5, 9, frameHeaderSize, len(frame) - 1} {
-		mut := append([]byte(nil), frame...)
-		mut[pos] ^= 0x40
-		if _, err := DecodeRecord(bytes.NewReader(mut)); !errors.Is(err, ErrCorruptRecord) {
-			t.Errorf("flipped byte %d: want ErrCorruptRecord, got %v", pos, err)
+}
+
+// TestWALFramesOfBothFormatsDecode: a record framed as WAL1 (gob) and as
+// WAL2 decodes to the same value either way, and the WAL2 frame is the
+// smaller — it carries no type descriptor.
+func TestWALFramesOfBothFormatsDecode(t *testing.T) {
+	for i, rec := range sampleRecords() {
+		frames := framesOfBothFormats(t, rec)
+		for format, frame := range frames {
+			got, guard, err := decodeFrame(bytes.NewReader(frame))
+			if err != nil {
+				t.Fatalf("record %d %s: %v", i, format, err)
+			}
+			if want := map[string]uint32{"wal1": frameGuard1, "wal2": frameGuard2}[format]; guard != want {
+				t.Errorf("record %d %s: decoded as guard %08x", i, format, guard)
+			}
+			if !reflect.DeepEqual(got, rec) {
+				t.Errorf("record %d %s: got %+v, want %+v", i, format, got, rec)
+			}
+		}
+		if len(frames["wal2"]) >= len(frames["wal1"]) {
+			t.Errorf("record %d: WAL2 frame %d bytes, WAL1 frame %d", i, len(frames["wal2"]), len(frames["wal1"]))
+		}
+	}
+}
+
+// TestWALGuardSwapIsCorrupt: a valid frame whose guard word names the other
+// format — the checksum still matches — is corrupt, never a record.
+func TestWALGuardSwapIsCorrupt(t *testing.T) {
+	for i, rec := range sampleRecords() {
+		for format, frame := range framesOfBothFormats(t, rec) {
+			mut := append([]byte(nil), frame...)
+			binary.LittleEndian.PutUint32(mut[8:], binary.LittleEndian.Uint32(mut[8:])^frameGuard1^frameGuard2)
+			if got, err := DecodeRecord(bytes.NewReader(mut)); !errors.Is(err, ErrCorruptRecord) {
+				t.Errorf("record %d, %s frame under the other guard: got %+v, %v; want ErrCorruptRecord", i, format, got, err)
+			}
 		}
 	}
 }
@@ -480,52 +548,100 @@ func TestConcurrentCommitters(t *testing.T) {
 	}
 }
 
-// TestWALInspectBoundsReplaySearches: a segment of Stage-3 records without
-// hop distances is counted as searching at replay; one whose records
-// carry them counts nothing, and the distances survive the round trip.
+// TestWALInspectBoundsReplaySearches: Inspect names each segment's format
+// and bounds its replay searches. A WAL1 segment of Stage-3 records
+// without hop distances counts as searching; a WAL1 segment whose records
+// carry them counts nothing; a WAL2 segment counts nothing because of its
+// format, distances or not; a mixed segment counts its WAL1 frames alone.
+// The distances survive the round trip.
 func TestWALInspectBoundsReplaySearches(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	submit := &Record{Op: OpSubmit, Ann: "a1", FirstVID: 7,
 		Candidates: []CandidateRef{{Tuple: TupleRef{Table: "Protein", Key: "p00001"}, Confidence: 0.9}}}
 	verdict := &Record{Op: OpVerdict, Ann: "a1", Tuple: TupleRef{Table: "Protein", Key: "p00002"}, VID: 8, Accept: true}
 	reject := &Record{Op: OpVerdict, Ann: "a1", VID: 9}
-	for _, rec := range []*Record{submit, verdict, reject} {
-		if _, err := l.Append(rec); err != nil {
+	withHops := func(rec *Record, hops byte) *Record {
+		c := *rec
+		c.Hops = []byte{hops}
+		return &c
+	}
+	legacy, measured := []*Record{submit, verdict, reject}, []*Record{withHops(submit, 2), withHops(verdict, 0), reject}
+	v1 := func(recs ...*Record) (frames []byte) {
+		for _, rec := range recs {
+			frames = append(frames, encodeRecordV1(t, rec)...)
+		}
+		return frames
+	}
+	v2 := func(recs ...*Record) (frames []byte) {
+		for _, rec := range recs {
+			var err error
+			if frames, err = EncodeRecord(frames, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return frames
+	}
+	segments := [][]byte{
+		v1(legacy...),
+		v1(measured...),
+		v2(legacy...),
+		append(v1(legacy...), v2(measured...)...),
+	}
+	for i, data := range segments {
+		if err := os.WriteFile(filepath.Join(dir, segmentName(uint64(i+1))), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := l.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	submit.Hops = []byte{2}
-	verdict.Hops = []byte{0}
-	for _, rec := range []*Record{submit, verdict, reject} {
-		if _, err := l.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
 	}
 	infos, err := Inspect(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 2 || infos[0].Searches != 2 || infos[1].Searches != 0 {
-		t.Fatalf("infos = %+v, want 2 searches in the first segment and none in the second", infos)
+	var got []string
+	for _, info := range infos {
+		got = append(got, fmt.Sprintf("%s/%d/%d", info.Format, info.Records, info.Searches))
 	}
-	var got [][]byte
+	if want := []string{"wal1/3/2", "wal1/3/0", "wal2/3/0", "mixed/6/2"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("format/records/searches by segment = %v, want %v", got, want)
+	}
+	var hops [][]byte
 	if _, err := Replay(dir, ReplayConfig{FromSegment: 2}, func(rec *Record) error {
-		got = append(got, rec.Hops)
+		hops = append(hops, rec.Hops)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, [][]byte{{2}, {0}, nil}) {
-		t.Fatalf("replayed hop distances %v", got)
+	if want := [][]byte{{2}, {0}, nil, nil, nil, nil, nil, nil, nil, {2}, {0}, nil}; !reflect.DeepEqual(hops, want) {
+		t.Fatalf("replayed hop distances %v, want %v", hops, want)
+	}
+}
+
+// BenchmarkRecordCodec measures framing and decoding sampleRecords, one
+// record per op, in each format; WAL1 frames are only ever decoded.
+func BenchmarkRecordCodec(b *testing.B) {
+	recs := sampleRecords()
+	b.Run("encode/wal2", func(b *testing.B) {
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = EncodeRecord(buf[:0], recs[i%len(recs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	for _, format := range []string{"wal1", "wal2"} {
+		var frames [][]byte
+		size := 0
+		for _, rec := range recs {
+			frames = append(frames, framesOfBothFormats(b, rec)[format])
+			size += len(frames[len(frames)-1])
+		}
+		b.Run("decode/"+format, func(b *testing.B) {
+			b.ReportMetric(float64(size)/float64(len(frames)), "B/record")
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeRecord(bytes.NewReader(frames[i%len(frames)])); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -22,10 +22,12 @@ import (
 //
 //	go test -run TestRestoreSnapshotsOfEarlierFormats -write-compat snapshot-v2 .
 //
+// (TestWALFormatIsFrozen writes testdata/wal-crashscript-v2.log the same
+// way.)
 // Run it on the last commit that writes a format before changing the
 // format, so the reader's shim for it stays pinned. snapshot-v1 was written
 // this way by commit 0766fdd, the last one whose Save wrote version 1.
-var writeCompat = flag.String("write-compat", "", "write testdata/<name>.nebsnap and .golden instead of testing")
+var writeCompat = flag.String("write-compat", "", "write testdata/<name>.nebsnap and .golden (or <name>.log) instead of testing")
 
 // restoreOptions is the restoring engine's profile: ingest on, so queued
 // jobs are re-admitted, and more than one shard.

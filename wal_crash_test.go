@@ -795,3 +795,128 @@ func TestWALLegacySegmentReplays(t *testing.T) {
 		t.Fatal("legacy segment replayed to a different state")
 	}
 }
+
+// v1PrefixSteps is how many crash-script steps
+// testdata/wal-crashscript-v1-prefix.log holds: the segment that commit
+// 502b8de, the last engine to write WAL1 frames, logged for them (six
+// records: the mutate-db step logs three row operations).
+const v1PrefixSteps = 4
+
+// TestWALUpgradeMixedSegments is an upgrade across frame formats: a log
+// whose first segment holds WAL1 frames (written before the binary codec)
+// is recovered by this engine, which appends the rest of the crash script
+// as WAL2 frames in the fresh segment its boot opens. Replaying both
+// segments must give the state a single-format log of the whole script
+// gives.
+func TestWALUpgradeMixedSegments(t *testing.T) {
+	v1, err := os.ReadFile("testdata/wal-crashscript-v1-prefix.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The whole script logged by this engine alone.
+	e, ds, baseline := crashFixture(t)
+	single := t.TempDir()
+	l, err := wal.Open(single, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.AttachWAL(l)
+	runScript(t, e, ds)
+	if err := e.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	segName, current := segmentFile(t, single)
+	want, _ := recoverImage(t, baseline, segName, current)
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	up, err := nebula.RestoreEngine(bytes.NewReader(baseline), configureWorkloadMeta, nebula.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := up.RecoverWAL(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Records != 6 || stats.ApplyErrors != 0 || stats.Searches != 0 {
+		t.Fatalf("replay of the WAL1 segment: %+v", stats)
+	}
+	for _, s := range crashScript(up, ds)[v1PrefixSteps:] {
+		if err := s.run(); err != nil {
+			t.Fatalf("step %s after the upgrade: %v", s.name, err)
+		}
+	}
+	upFP := fingerprint(t, up)
+	if err := up.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	infos, err := wal.Inspect(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 2 || infos[0].Format != "wal1" || infos[1].Format != "wal2" || infos[0].Searches+infos[1].Searches != 0 {
+		t.Fatalf("segments after the upgrade: %+v, want one WAL1 and one WAL2 segment, no searches", infos)
+	}
+	mixed, err := nebula.RestoreEngine(bytes.NewReader(baseline), configureWorkloadMeta, nebula.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mstats, err := mixed.ReplayWAL(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mstats.Segments != 2 || mstats.ApplyErrors != 0 || mstats.Searches != 0 || mstats.CorruptTail {
+		t.Fatalf("replay of both segments: %+v", mstats)
+	}
+	wantFP := fingerprint(t, want)
+	if upFP != wantFP {
+		t.Fatal("the upgraded engine diverged from the single-format run")
+	}
+	if fingerprint(t, mixed) != wantFP {
+		t.Fatal("replay of the WAL1 and WAL2 segments diverged from the single-format log")
+	}
+}
+
+// TestWALFormatIsFrozen requires this engine to log the crash script as
+// testdata/wal-crashscript-v2.log, byte for byte, so that a change to the
+// record format cannot pass unnoticed. A deliberate change keeps a decoder
+// for the old frames and rewrites the file with
+//
+//	go test -run TestWALFormatIsFrozen -write-compat wal-crashscript-v2 .
+func TestWALFormatIsFrozen(t *testing.T) {
+	const golden = "testdata/wal-crashscript-v2.log"
+	e, ds, _ := crashFixture(t)
+	dir := t.TempDir()
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.AttachWAL(l)
+	runScript(t, e, ds)
+	if err := e.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	_, got := segmentFile(t, dir)
+	if *writeCompat == "wal-crashscript-v2" {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Skipf("wrote %s (%d bytes)", golden, len(got))
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("the crash script logged %d bytes, %s holds %d; first difference at byte %d", len(got), golden, len(want), i)
+	}
+	if len(want) > 16<<10 {
+		t.Fatalf("%s is %d bytes; keep it under 16 KiB", golden, len(want))
+	}
+}
