@@ -3,7 +3,6 @@ package nebula
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -89,11 +88,16 @@ func (e *Engine) ProcessBatchRequest(ctx context.Context, ids []AnnotationID, re
 	if err := req.Validate(); err != nil {
 		return batchError(ids, err)
 	}
-	e.mu.Lock()
-	wb := e.wal
-	results := e.runBatch(ctx, ids, true, req.apply(e.opts))
-	e.mu.Unlock()
-	if err := wb.commit(nil); err != nil {
+	var results []BatchResult
+	err := e.write(allShards, func() error {
+		results = e.runBatch(ctx, ids, true, req.apply(e.opts))
+		return nil
+	})
+	if results == nil {
+		// A panic in the Stage-3 fold: no slot's routing is known.
+		return batchError(ids, err)
+	}
+	if err != nil {
 		// The group fsync covering every logged submission failed; no slot
 		// may acknowledge a durable routing.
 		for i := range results {
@@ -142,11 +146,7 @@ func (e *Engine) runBatch(ctx context.Context, ids []AnnotationID, process bool,
 			return
 		}
 		started[i] = true
-		defer func() {
-			if r := recover(); r != nil {
-				results[i].Err = fmt.Errorf("%w: panic: %v\n%s", ErrInternal, r, debug.Stack())
-			}
-		}()
+		defer recoverPanic(&results[i].Err)
 		results[i].Discovery, results[i].Err = e.discover(ctx, inputs[i].a, inputs[i].focal, opts)
 	})
 	for i := range results {

@@ -196,6 +196,61 @@ func TestCacheInvalidationOnMutation(t *testing.T) {
 	}
 }
 
+// TestCacheSurvivesBoundsChanges pins the bounds rule: the verification
+// thresholds route Stage 3 after a discovery ran and never shape its
+// answer, so neither SetBounds nor TuneBounds may invalidate a cached
+// discovery, and the hit each leaves behind must equal a fresh uncached
+// run.
+func TestCacheSurvivesBoundsChanges(t *testing.T) {
+	ds, err := workload.Generate(workload.TinyConfig(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := nebula.NewWithState(ds.DB, ds.Meta, ds.Store, ds.Graph, nebula.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := ds.WorkloadSet(500, workload.RefClass{Min: 4, Max: 6})[0]
+	if err := e.AddAnnotation(spec.Ann, spec.Focal(1)); err != nil {
+		t.Fatal(err)
+	}
+	id := spec.Ann.ID
+	if _, err := e.Discover(id); err != nil {
+		t.Fatal(err)
+	}
+	var training []nebula.TrainingExample
+	for _, s := range ds.TrainingSet(3) {
+		training = append(training, nebula.TrainingExample{Annotation: s.Ann, Ideal: s.Related})
+	}
+	for _, step := range []scriptStep{
+		{"SetBounds", func() error { return e.SetBounds(nebula.Bounds{Lower: 0.1, Upper: 0.9}) }},
+		{"TuneBounds", func() error {
+			_, _, err := e.TuneBounds(training, nebula.DefaultBoundsConfig())
+			return err
+		}},
+	} {
+		if err := step.run(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		before := e.CacheStats().Discovery.Hits
+		hit, err := e.Discover(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.CacheStats().Discovery.Hits; got != before+1 {
+			t.Errorf("%s invalidated the cached discovery (hits %d -> %d)", step.name, before, got)
+		}
+		fresh, err := e.DiscoverRequest(context.Background(), id, nebula.RequestOptions{Cache: "off"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if renderDiscovery(hit) != renderDiscovery(fresh) {
+			t.Errorf("after %s the cached discovery differs from an uncached run\ncached: %s\nfresh:  %s",
+				step.name, renderDiscovery(hit), renderDiscovery(fresh))
+		}
+	}
+}
+
 // TestCacheSnapshotRestoreStartsCold checks the restore coherence rule:
 // caches are not serialized, so a restored engine starts cold with zeroed
 // counters — and still computes the same results as the warm original.

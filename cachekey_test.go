@@ -44,7 +44,7 @@ var unkeyedOptions = map[string]string{
 	"Retry.MaxRetries":  "a run that retried is degraded and never cached",
 	"Retry.BaseDelay":   "as Retry.MaxRetries",
 	"Retry.MaxDelay":    "as Retry.MaxRetries",
-	"Bounds.Lower":      "Stage 3 routing threshold, read after the run; TuneBounds moves every epoch",
+	"Bounds.Lower":      "Stage 3 routing threshold, read after the run",
 	"Bounds.Upper":      "as Bounds.Lower",
 	"ACGBatchSize":      "fixed when the engine's graph is built; the cache is the engine's own",
 	"ACGMu":             "as ACGBatchSize",

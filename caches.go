@@ -10,6 +10,7 @@ import (
 	"unicode/utf8"
 
 	"nebula/internal/cache"
+	"nebula/internal/wal"
 )
 
 // CacheCounters re-exports one cache layer's counter snapshot.
@@ -105,6 +106,25 @@ func (e *Engine) cacheEpochFor(home int, opts Options) uint64 {
 	return e.db.Epoch() + e.mu.Epoch(home)
 }
 
+// invalidate is the one rule for which cached discoveries a logged write
+// outdates; applyRecord runs it for every record it applies, live and
+// replayed alike, so a replayed engine moves the epochs the live one did.
+//
+//	AddAnnotation, Submit, Verdict, IngestRetract   the annotation's home shard
+//	DeleteTuple                                     every shard
+//	InsertRow, UpdateRow, DeleteRow                 none: per-table epochs move
+//	SetBounds                                       none: read after the run
+//	IngestEnqueue, IngestDone                       none: the queue is no input
+func (e *Engine) invalidate(rec *wal.Record) {
+	switch rec.Op {
+	case wal.OpAddAnnotation, wal.OpSubmit, wal.OpVerdict, wal.OpIngestRetract:
+		e.bumpMutEpochFor(AnnotationID(rec.Ann))
+	case wal.OpDeleteTuple:
+		// A deleted tuple may have appeared in any annotation's discovery.
+		e.bumpMutEpochAll()
+	}
+}
+
 // bumpMutEpochFor records an annotation-side mutation attributable to one
 // annotation (attachments, verification decisions, profile updates) on that
 // annotation's home shard. Data-side mutations are tracked by the
@@ -114,8 +134,8 @@ func (e *Engine) bumpMutEpochFor(id AnnotationID) {
 }
 
 // bumpMutEpochAll records a mutation whose effect is not confined to one
-// annotation (tuple deletions, index refreshes, bounds changes): every
-// shard's epoch moves, so every cached discovery dies.
+// annotation (tuple deletions, index refreshes): every shard's epoch moves,
+// so every cached discovery dies.
 func (e *Engine) bumpMutEpochAll() { e.mu.BumpAll() }
 
 // discoveryKey is the discovery cache's key: everything a discovery run's

@@ -63,14 +63,12 @@ func (e *Engine) ExecCommand(command string) (*CommandResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var wb *walBinding
-	res, err := func() (*CommandResult, error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		wb = e.wal
-		return e.execStatement(stmt)
-	}()
-	if err = wb.commit(err); err != nil {
+	var res *CommandResult
+	err = e.write(allShards, func() (err error) {
+		res, err = e.execStatement(stmt)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -141,10 +139,7 @@ func (e *Engine) execAnnotate(s *sqlish.AnnotateStmt) (*CommandResult, error) {
 		return nil, fmt.Errorf("nebula: no %s tuple with %s = %q", s.Table, t.Schema().PrimaryKey, s.PK)
 	}
 	a := &Annotation{ID: AnnotationID(s.ID), Body: s.Body}
-	if err := e.walAppend(recAddAnnotation(a, []TupleID{row.ID})); err != nil {
-		return nil, err
-	}
-	if err := e.addAnnotation(a, []TupleID{row.ID}); err != nil {
+	if _, err := e.commit(recAddAnnotation(a, []TupleID{row.ID})); err != nil {
 		return nil, err
 	}
 	return &CommandResult{Message: fmt.Sprintf("annotation %q attached to %s", s.ID, row.ID)}, nil

@@ -60,18 +60,25 @@ func recoverPanic(err *error) {
 //
 // All Engine methods are safe for concurrent use. Operations synchronize on
 // a hash-sharded readers–writer lock group (Options.Shards): discovery
-// (Stages 1–2), snapshot capture, and the pending/bounds accessors are
-// read-only against engine state and run concurrently with each other, while
-// whole-engine mutations (raw relational mutations, Stage-3 verification
-// routing, expert decisions, deletions) take every shard's lock exclusively
-// in ascending order. Single-annotation writes (AddAnnotation,
-// AddAnnotationAsync, EnqueueDiscovery) take only the annotation's home
-// shard, so writers against different shards proceed concurrently and
-// invalidate only their own shard's cached discoveries. With Shards <= 1 the
-// group degenerates to the engine's historical single RWMutex. The
-// underlying database, store, and graph returned by the accessors are NOT
-// independently synchronized — mutate them through the engine, or only
-// before sharing the engine across goroutines.
+// (Stages 1–2), query-time propagation, snapshot capture, and the
+// pending/bounds accessors are read-only against engine state and run
+// concurrently with each other, while whole-engine mutations (raw
+// relational mutations, Stage-3 verification routing, expert decisions,
+// deletions) take every shard's lock exclusively in ascending order.
+// Single-annotation writes (AddAnnotation, AddAnnotationAsync,
+// EnqueueDiscovery) take only the annotation's home shard, so writers
+// against different shards proceed concurrently and invalidate only their
+// own shard's cached discoveries. With Shards <= 1 the group degenerates to
+// the engine's historical single RWMutex.
+//
+// Every write goes one way (see wal.go): the entry point runs under write,
+// which owns the lock scope, panic recovery and the WAL sync; the mutation
+// itself is a wal.Record that commit logs and then applies through
+// applyRecord, the function WAL replay runs, which also applies the
+// record's cache invalidation. The underlying database, store, and graph
+// returned by the accessors are NOT independently synchronized — mutate
+// them through the engine, or only before sharing the engine across
+// goroutines.
 type Engine struct {
 	mu *shard.Group
 
@@ -102,9 +109,15 @@ type Engine struct {
 	// wal, when non-nil, is the write-ahead log binding: mutations append
 	// a record under the write lock before applying, and fsync (with
 	// group-commit absorption) after releasing it. Written by AttachWAL
-	// under the write lock, read without it on the commit path — attach
-	// before sharing the engine across goroutines.
+	// under the write lock; write reads it under the lock it takes, and
+	// syncs the binding it read after releasing — attach before sharing
+	// the engine across goroutines.
 	wal *walBinding
+	// captured is non-nil while MutateDB runs the caller's function: the
+	// row hook appends every committed row operation, which MutateDB then
+	// logs and feeds to change-data-capture. Guarded by the whole-group
+	// write lock.
+	captured []relational.RowMutation
 	// walBaseSegment is the first WAL segment NOT folded into the snapshot
 	// this engine was restored from; ReplayWAL skips earlier segments.
 	// Zero (fresh engines, pre-WAL snapshots) replays everything.
@@ -240,41 +253,35 @@ func (e *Engine) DB() *Database { return e.db }
 // operation fn commits is captured and logged; the call returns only once
 // the captured records are durable.
 func (e *Engine) MutateDB(fn func(db *Database) error) error {
-	var wb *walBinding
-	err := func() error {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		wb = e.wal
-		if e.wal != nil {
-			e.wal.captureActive, e.wal.captureErr = true, nil
-			defer func() {
-				e.wal.captureActive, e.wal.captureErr = false, nil
-			}()
-		}
-		if e.ingest != nil {
-			e.ingest.beginCapture()
-		}
-		err := fn(e.db)
-		if err == nil && e.wal != nil {
-			// A failed append mid-fn leaves later row ops unlogged; the
-			// log is poisoned by the failure, so the caller gets an error
-			// and the process must restart into replay (fail-stop).
-			err = e.wal.captureErr
-		}
-		if e.ingest != nil {
-			// Change-data-capture: the committed row mutations seed the
-			// K-hop ACG query that decides which prior attachments need
-			// re-discovery. Runs only on success — a failed fn may have
-			// applied some rows, but their WAL records (and therefore the
-			// replayed state) end at the failure point.
-			changed := e.ingest.endCapture()
-			if err == nil && len(changed) > 0 {
-				_, err = e.enqueueAffectedLocked(changed)
+	return e.write(allShards, func() error {
+		rows, err := e.captureRows(fn)
+		// Effect records: fn already applied these rows, so they are
+		// logged after the fact — also when fn failed, because replay must
+		// reach the state fn left behind.
+		for _, m := range rows {
+			if lerr := e.walAppend(rowMutationRecord(m)); lerr != nil {
+				return lerr
 			}
 		}
+		if err != nil || e.ingest == nil || len(rows) == 0 {
+			return err
+		}
+		// Change-data-capture: the committed row mutations seed the K-hop
+		// ACG query that decides which prior attachments need
+		// re-discovery. Runs only on success.
+		_, err = e.enqueueAffectedLocked(rows)
 		return err
-	}()
-	return wb.commit(err)
+	})
+}
+
+// captureRows runs fn with the row hook capturing and returns the row
+// operations it committed, also when fn failed or panicked (a panic comes
+// back as ErrInternal). Caller holds e.mu in write mode.
+func (e *Engine) captureRows(fn func(db *Database) error) (rows []relational.RowMutation, err error) {
+	e.captured = []relational.RowMutation{}
+	defer func() { rows, e.captured = e.captured, nil }()
+	defer recoverPanic(&err)
+	return nil, fn(e.db)
 }
 
 // Meta returns the NebulaMeta repository.
@@ -302,25 +309,10 @@ func (e *Engine) Options() Options {
 
 // SetBounds replaces the verification thresholds.
 func (e *Engine) SetBounds(b Bounds) error {
-	var wb *walBinding
-	err := func() error {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		wb = e.wal
-		if err := e.walAppend(recBounds(b)); err != nil {
-			return err
-		}
-		return e.setBounds(b)
-	}()
-	return wb.commit(err)
-}
-
-func (e *Engine) setBounds(b Bounds) error {
-	if err := e.manager.SetBounds(verification.Bounds(b)); err != nil {
+	return e.write(allShards, func() error {
+		_, err := e.commit(recBounds(b))
 		return err
-	}
-	e.opts.Bounds = b
-	return nil
+	})
 }
 
 // Bounds returns the current verification thresholds.
@@ -335,27 +327,21 @@ func (e *Engine) Bounds() Bounds {
 // are wired into the ACG. It locks only the annotation's home shard, so
 // concurrent adds homed on different shards proceed in parallel; the store,
 // graph, and WAL serialize their own internal mutations.
+//
+// The store keeps its own copy of a, built from the logged record exactly
+// as replay builds it; later changes to *a do not reach the engine.
 func (e *Engine) AddAnnotation(a *Annotation, attachTo []TupleID) error {
-	var wb *walBinding
-	err := func() error {
-		home := e.mu.Home(string(a.ID))
-		e.mu.LockShard(home)
-		defer e.mu.UnlockShard(home)
-		wb = e.wal
-		if err := e.walAppend(recAddAnnotation(a, attachTo)); err != nil {
-			return err
-		}
-		return e.addAnnotation(a, attachTo)
-	}()
-	return wb.commit(err)
+	return e.write(e.mu.Home(string(a.ID)), func() error {
+		_, err := e.commit(recAddAnnotation(a, attachTo))
+		return err
+	})
 }
 
-// addAnnotation is AddAnnotation's locked core, shared with WAL replay and
-// the async ingest path. Callers hold either the whole lock group or the
-// annotation's home shard exclusively; under a single shard lock the
-// database is read-only to everyone else (relational mutations take all
-// shards), and the store/graph/manualFocal writes below serialize through
-// their own mutexes against adds homed elsewhere.
+// addAnnotation applies an OpAddAnnotation record. Callers hold either the
+// whole lock group or the annotation's home shard exclusively; under a
+// single shard lock the database is read-only to everyone else (relational
+// mutations take all shards), and the store/graph/manualFocal writes below
+// serialize through their own mutexes against adds homed elsewhere.
 func (e *Engine) addAnnotation(a *Annotation, attachTo []TupleID) error {
 	for _, t := range attachTo {
 		if _, ok := e.db.Lookup(t); !ok {
@@ -365,7 +351,6 @@ func (e *Engine) addAnnotation(a *Annotation, attachTo []TupleID) error {
 	if err := e.store.Add(a); err != nil {
 		return err
 	}
-	e.bumpMutEpochFor(a.ID)
 	for _, t := range attachTo {
 		if _, err := e.store.Attach(annotation.Attachment{
 			Annotation: a.ID, Tuple: t, Type: annotation.TrueAttachment,
@@ -392,40 +377,34 @@ func (e *Engine) addAnnotation(a *Annotation, attachTo []TupleID) error {
 // Under the symbol-table search technique the pre-built index goes stale;
 // call RefreshSearchIndex afterwards (or rely on the next rebuild).
 func (e *Engine) DeleteTuple(id TupleID) (detached, cancelled int, err error) {
-	var wb *walBinding
-	detached, cancelled, err = func() (int, int, error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		wb = e.wal
+	err = e.write(allShards, func() error {
 		// Change-data-capture must read the ACG neighborhood BEFORE the
 		// cascade removes the tuple's node and edges.
 		var affected []AnnotationID
 		if e.ingest != nil {
 			affected = e.graph.AffectedAnnotations([]TupleID{id}, e.ingest.cdcHops)
 		}
-		if err := e.walAppend(recDeleteTuple(id)); err != nil {
-			return 0, 0, err
+		res, err := e.commit(recDeleteTuple(id))
+		detached, cancelled = res.detached, res.cancelled
+		if err != nil {
+			return err
 		}
-		d, c, err := e.deleteTuple(id)
-		if err == nil && e.ingest != nil {
-			for _, a := range affected {
-				if _, ok := e.store.Get(a); !ok {
-					continue // the cascade removed the annotation's last state
-				}
-				if _, qerr := e.enqueueJobLocked(a, ingest.KindRediscover, 0); qerr != nil && !errors.Is(qerr, ErrIngestQueueFull) {
-					return d, c, qerr
-				}
+		for _, a := range affected {
+			if _, ok := e.store.Get(a); !ok {
+				continue // the cascade removed the annotation's last state
+			}
+			if _, qerr := e.enqueueJobLocked(a, ingest.KindRediscover, 0); qerr != nil && !errors.Is(qerr, ErrIngestQueueFull) {
+				return qerr
 			}
 		}
-		return d, c, err
-	}()
-	err = wb.commit(err)
+		return nil
+	})
 	return detached, cancelled, err
 }
 
-// deleteTuple is DeleteTuple's locked core, shared with WAL replay. The
-// MutateDB row hook does not fire here (capture is only active inside
-// MutateDB), so the single OpDeleteTuple record owns the whole cascade.
+// deleteTuple applies an OpDeleteTuple record. The MutateDB row hook does
+// not capture here (capture is only on inside MutateDB), so the single
+// OpDeleteTuple record owns the whole cascade.
 func (e *Engine) deleteTuple(id TupleID) (detached, cancelled int, err error) {
 	t, ok := e.db.Table(id.Table)
 	if !ok {
@@ -434,9 +413,6 @@ func (e *Engine) deleteTuple(id TupleID) (detached, cancelled int, err error) {
 	if !t.DeleteByKey(id.Key) {
 		return 0, 0, fmt.Errorf("nebula: no tuple %s", id)
 	}
-	// A deleted tuple may have appeared in any annotation's discovery, so
-	// every shard's cached results must die.
-	e.bumpMutEpochAll()
 	// The tuple can no longer be anyone's manual attachment; prune it from
 	// the manual-focal lists before the store cascade forgets who touched
 	// it.
@@ -785,18 +761,13 @@ func (e *Engine) ProcessContext(ctx context.Context, id AnnotationID) (disc *Dis
 // mutates engine state (attachments, ACG, hop profile, VIDs), so unlike
 // DiscoverRequest it holds the engine lock exclusively for the whole run.
 func (e *Engine) ProcessRequest(ctx context.Context, id AnnotationID, req RequestOptions) (disc *Discovery, outcome VerificationOutcome, err error) {
-	defer recoverPanic(&err)
 	if err := req.Validate(); err != nil {
 		return nil, VerificationOutcome{}, err
 	}
-	var wb *walBinding
-	disc, outcome, err = func() (*Discovery, VerificationOutcome, error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		wb = e.wal
-		return e.process(ctx, id, req.apply(e.opts))
-	}()
-	err = wb.commit(err)
+	err = e.write(allShards, func() (err error) {
+		disc, outcome, err = e.process(ctx, id, req.apply(e.opts))
+		return err
+	})
 	return disc, outcome, err
 }
 
@@ -833,7 +804,7 @@ func (e *Engine) process(ctx context.Context, id AnnotationID, opts Options) (di
 }
 
 // submit is Stage 3 for one discovery, shared by Process, ProcessBatch and
-// DrainIngest: measure, log, apply. The record carries the computed
+// DrainIngest: measure, then commit. The record carries the computed
 // inputs — candidates, focal, degradation flag, the VID the first task
 // gets — and the hop distance of every acceptance measured here, never the
 // discovery itself: replay re-runs no budgeted search whose outcome
@@ -842,11 +813,8 @@ func (e *Engine) process(ctx context.Context, id AnnotationID, opts Options) (di
 func (e *Engine) submit(id AnnotationID, disc *Discovery) (VerificationOutcome, error) {
 	degraded := len(disc.Degraded()) > 0
 	hops := e.manager.MeasureSubmit(disc.Focal, disc.Candidates, degraded)
-	rec := recSubmit(id, disc, degraded, e.manager.NextVID(), hops)
-	if err := e.walAppend(rec); err != nil {
-		return VerificationOutcome{}, err
-	}
-	return e.applySubmit(rec, disc.Candidates)
+	res, err := e.commit(recSubmit(id, disc, degraded, e.manager.NextVID(), hops))
+	return res.outcome, err
 }
 
 // PendingTasks returns the pending verification tasks, ordered by VID.
@@ -866,26 +834,18 @@ func (e *Engine) PendingTasksByPriority() []*VerificationTask {
 
 // VerifyAttachment implements the extended SQL command
 // `Verify Attachement <vid>`: the expert accepts a pending task.
-func (e *Engine) VerifyAttachment(vid int64) error { return e.decide(vid, true) }
+func (e *Engine) VerifyAttachment(vid int64) error {
+	return e.write(allShards, func() error { return e.verdict(vid, true) })
+}
 
 // RejectAttachment implements `Reject Attachement <vid>`.
-func (e *Engine) RejectAttachment(vid int64) error { return e.decide(vid, false) }
-
-// decide is one verdict under the engine lock, made durable after it.
-func (e *Engine) decide(vid int64, accept bool) error {
-	var wb *walBinding
-	err := func() error {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		wb = e.wal
-		return e.verdict(vid, accept)
-	}()
-	return wb.commit(err)
+func (e *Engine) RejectAttachment(vid int64) error {
+	return e.write(allShards, func() error { return e.verdict(vid, false) })
 }
 
 // verdict is one expert decision on a pending task, shared by every live
 // path: measure an acceptance's hop distance from the annotation's focal
-// as it stands now, log, apply. Unknown VIDs are refused before logging —
+// as it stands now, then commit. Unknown VIDs are refused before logging —
 // a no-op needs no record. Caller holds e.mu in write mode.
 func (e *Engine) verdict(vid int64, accept bool) error {
 	task, ok := e.manager.Pending(vid)
@@ -896,11 +856,8 @@ func (e *Engine) verdict(vid int64, accept bool) error {
 	if accept {
 		hops = e.manager.MeasureVerify(vid)
 	}
-	rec := recVerdict(task, accept, hops)
-	if err := e.walAppend(rec); err != nil {
-		return err
-	}
-	return e.applyVerdict(rec)
+	_, err := e.commit(recVerdict(task, accept, hops))
+	return err
 }
 
 // ResolveWithOracle resolves an annotation's pending tasks using an oracle
@@ -909,28 +866,23 @@ func (e *Engine) verdict(vid int64, accept bool) error {
 // the decisions before it left — so the oracle's answers, not the oracle,
 // are what replay re-applies.
 func (e *Engine) ResolveWithOracle(id AnnotationID, oracle Oracle) (accepted, rejected []*VerificationTask, err error) {
-	var wb *walBinding
-	accepted, rejected, err = func() (acc, rej []*VerificationTask, err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		wb = e.wal
+	err = e.write(allShards, func() error {
 		for _, t := range e.manager.PendingTasks() {
 			if t.Annotation != id {
 				continue
 			}
 			related := oracle.IsRelated(id, t.Tuple)
 			if err := e.verdict(t.VID, related); err != nil {
-				return acc, rej, err
+				return err
 			}
 			if related {
-				acc = append(acc, t)
+				accepted = append(accepted, t)
 			} else {
-				rej = append(rej, t)
+				rejected = append(rejected, t)
 			}
 		}
-		return acc, rej, nil
-	}()
-	err = wb.commit(err)
+		return nil
+	})
 	return accepted, rejected, err
 }
 
@@ -944,9 +896,11 @@ func (e *Engine) Quality(ideal IdealEdges) QualityMetrics {
 
 // PropagateQuery runs a structured query and propagates annotations over
 // its results — the passive facility inherited from the underlying engine.
+// It reads only (a select through the scan cache, then store reads), so
+// like DiscoverRequest it runs under the read lock.
 func (e *Engine) PropagateQuery(q StructuredQuery, projected []string) ([]PropagatedRow, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	return e.store.PropagateQuery(e.db, q, projected)
 }
 
@@ -954,19 +908,15 @@ func (e *Engine) PropagateQuery(q StructuredQuery, projected []string) ([]Propag
 // propagates annotations from both contributing tuples over the joined
 // rows (the join semantics of query-time propagation).
 func (e *Engine) PropagateJoin(left, right StructuredQuery, projectedLeft, projectedRight []string) ([]PropagatedJoinRow, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	return e.store.PropagateJoin(e.db, left, right, projectedLeft, projectedRight)
 }
 
 // TuneBounds runs the Figure 9 BoundsSetting algorithm against this
 // engine's discovery pipeline and installs the chosen thresholds.
-func (e *Engine) TuneBounds(training []TrainingExample, cfg BoundsConfig) (Bounds, []BoundsEvaluation, error) {
-	var wb *walBinding
-	b, evals, err := func() (Bounds, []BoundsEvaluation, error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		wb = e.wal
+func (e *Engine) TuneBounds(training []TrainingExample, cfg BoundsConfig) (b Bounds, evals []BoundsEvaluation, err error) {
+	err = e.write(allShards, func() error {
 		discover := func(a *Annotation, focal []TupleID) ([]Candidate, error) {
 			d, err := e.discover(context.Background(), a, focal, e.opts)
 			if err != nil {
@@ -974,23 +924,17 @@ func (e *Engine) TuneBounds(training []TrainingExample, cfg BoundsConfig) (Bound
 			}
 			return d.Candidates, nil
 		}
-		bounds, evals, err := verification.BoundsSetting(training, discover, cfg)
+		bounds, ev, err := verification.BoundsSetting(training, discover, cfg)
 		if err != nil {
-			return Bounds{}, nil, err
+			return err
 		}
 		// Only the chosen thresholds are logged — replay must not re-run
 		// the training sweep.
-		if err := e.walAppend(recBounds(Bounds(bounds))); err != nil {
-			return Bounds{}, nil, err
+		if _, err := e.commit(recBounds(Bounds(bounds))); err != nil {
+			return err
 		}
-		if err := e.setBounds(Bounds(bounds)); err != nil {
-			return Bounds{}, nil, err
-		}
-		// New thresholds re-route every annotation's Stage 3, so cached
-		// discoveries on every shard are conservatively invalidated.
-		e.bumpMutEpochAll()
-		return Bounds(bounds), evals, nil
-	}()
-	err = wb.commit(err)
+		b, evals = Bounds(bounds), ev
+		return nil
+	})
 	return b, evals, err
 }

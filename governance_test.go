@@ -403,14 +403,53 @@ func TestPanicBecomesErrInternal(t *testing.T) {
 	if _, _, err := e.ProcessContext(context.Background(), id); !errors.Is(err, nebula.ErrInternal) {
 		t.Fatalf("Process err = %v, want ErrInternal", err)
 	}
-	// The poisoned call must not take the engine down with it: the mutex
-	// is released and other surfaces keep working.
+	// Every write entry point that runs the pipeline recovers too: the
+	// shell's DISCOVER and PROCESS, and bounds training.
+	var training []nebula.TrainingExample
+	for _, spec := range ds.TrainingSet(3) {
+		training = append(training, nebula.TrainingExample{Annotation: spec.Ann, Ideal: spec.Related})
+	}
+	for name, call := range map[string]func() error{
+		"ExecCommand DISCOVER": func() error { _, err := e.ExecCommand(fmt.Sprintf("DISCOVER '%s'", id)); return err },
+		"ExecCommand PROCESS":  func() error { _, err := e.ExecCommand(fmt.Sprintf("PROCESS '%s'", id)); return err },
+		"TuneBounds": func() error {
+			_, _, err := e.TuneBounds(training, nebula.DefaultBoundsConfig())
+			return err
+		},
+	} {
+		if err := callCatchingPanic(call); !errors.Is(err, nebula.ErrInternal) {
+			t.Errorf("%s err = %v, want ErrInternal", name, err)
+		}
+	}
+	// The poisoned calls must not take the engine down with them: every
+	// lock is released and other surfaces, writers included, keep working.
 	if got := len(e.PendingTasks()); got != 0 {
 		t.Errorf("pending tasks after panic = %d", got)
 	}
 	if b := e.Bounds(); b.Upper == 0 {
 		t.Error("engine unusable after recovered panic")
 	}
+	done := make(chan error, 1)
+	go func() { done <- e.SetBounds(nebula.Bounds{Lower: 0.2, Upper: 0.8}) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("SetBounds after recovered panic: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("SetBounds blocked: a recovered panic left a lock held")
+	}
+}
+
+// callCatchingPanic runs call, turning a panic that escapes it into an
+// error so one escaping entry point fails its own check, not the binary.
+func callCatchingPanic(call func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic escaped the call: %v", r)
+		}
+	}()
+	return call()
 }
 
 // TestConcurrentCancellation drives governed discoveries from many

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -51,8 +50,6 @@ type IngestJob = ingest.Job
 // two enqueue entry points reachable under a single shard lock
 // (EnqueueDiscovery, AddAnnotationAsync) additionally serialize on mu, so
 // admissions homed on different shards cannot race the queue.
-// captureActive/changed follow the WAL capture flags' discipline (only
-// touched under the whole-group write lock — capture runs inside MutateDB).
 type ingestState struct {
 	// mu serializes single-shard enqueue paths against each other. Ordered
 	// strictly after the shard lock in the hierarchy; whole-group paths
@@ -60,14 +57,6 @@ type ingestState struct {
 	mu      sync.Mutex
 	queue   *ingest.Queue
 	cdcHops int
-
-	// captureActive/changed implement MutateDB change capture: the row
-	// hook records committed mutations while a wrapper has capture on, and
-	// the wrapper converts them into re-discovery jobs before unlocking.
-	// Replay and restore never activate capture — they apply the logged
-	// OpIngestEnqueue records instead.
-	captureActive bool
-	changed       []relational.RowMutation
 
 	// drain/freshness accumulators (write-locked updates, RLock reads).
 	drains         uint64
@@ -78,44 +67,21 @@ type ingestState struct {
 	freshnessJobs  uint64
 }
 
-// observe records one committed row mutation during an active capture.
-func (s *ingestState) observe(m relational.RowMutation) {
-	if s.captureActive {
-		s.changed = append(s.changed, m)
-	}
-}
-
-// beginCapture arms the row hook; endCapture disarms it and returns the
-// mutations seen. Caller holds e.mu in write mode.
-func (s *ingestState) beginCapture() {
-	s.captureActive, s.changed = true, nil
-}
-
-func (s *ingestState) endCapture() []relational.RowMutation {
-	out := s.changed
-	s.captureActive, s.changed = false, nil
-	return out
-}
-
-// refreshRowHook installs the engine's composite row-mutation observer:
-// WAL capture of raw MutateDB operations and ingest change-data-capture
-// share the database's single hook. Called whenever either consumer
-// appears or disappears (construction, AttachWAL, CloseWAL); the caller
-// holds e.mu in write mode or owns the engine exclusively.
+// refreshRowHook installs the engine's row-mutation observer: MutateDB's
+// capture (whose rows the WAL logs and ingest change-data-capture reads)
+// and the disk-mode index share the database's single hook. Called
+// whenever a consumer appears or disappears (construction, AttachWAL,
+// CloseWAL); the caller holds e.mu in write mode or owns the engine
+// exclusively.
 func (e *Engine) refreshRowHook() {
-	wb, ing, te := e.wal, e.ingest, e.tiered
-	if wb == nil && ing == nil && te == nil {
+	te := e.tiered
+	if e.wal == nil && e.ingest == nil && te == nil {
 		e.db.SetRowMutationHook(nil)
 		return
 	}
 	e.db.SetRowMutationHook(func(m relational.RowMutation) {
-		if wb != nil && wb.captureActive && wb.captureErr == nil {
-			if _, err := wb.log.Append(rowMutationRecord(m)); err != nil {
-				wb.captureErr = fmt.Errorf("nebula: wal append: %w", err)
-			}
-		}
-		if ing != nil {
-			ing.observe(m)
+		if e.captured != nil {
+			e.captured = append(e.captured, m)
 		}
 		if te != nil {
 			// Disk-mode search index: the mutated row is re-indexed into
@@ -153,15 +119,10 @@ type IngestAdmission struct {
 // itself; the discovery happens on the next drain. A duplicate enqueue
 // coalesces into the queued job (upgrading its priority); a full queue
 // fails with ErrIngestQueueFull.
-func (e *Engine) EnqueueDiscovery(id AnnotationID, priority int) (IngestAdmission, error) {
-	var wb *walBinding
-	adm, err := func() (IngestAdmission, error) {
-		home := e.mu.Home(string(id))
-		e.mu.LockShard(home)
-		defer e.mu.UnlockShard(home)
-		wb = e.wal
+func (e *Engine) EnqueueDiscovery(id AnnotationID, priority int) (adm IngestAdmission, err error) {
+	err = e.write(e.mu.Home(string(id)), func() (err error) {
 		if e.ingest == nil {
-			return IngestAdmission{}, ErrIngestDisabled
+			return ErrIngestDisabled
 		}
 		// Admission holds only the home shard plus the ingest mutex: the
 		// queue mutation serializes against enqueues homed elsewhere, while
@@ -169,11 +130,11 @@ func (e *Engine) EnqueueDiscovery(id AnnotationID, priority int) (IngestAdmissio
 		e.ingest.mu.Lock()
 		defer e.ingest.mu.Unlock()
 		if _, ok := e.store.Get(id); !ok {
-			return IngestAdmission{}, fmt.Errorf("%w %q", ErrUnknownAnnotation, id)
+			return fmt.Errorf("%w %q", ErrUnknownAnnotation, id)
 		}
-		return e.enqueueJobLocked(id, ingest.KindDiscover, priority)
-	}()
-	err = wb.commit(err)
+		adm, err = e.enqueueJobLocked(id, ingest.KindDiscover, priority)
+		return err
+	})
 	return adm, err
 }
 
@@ -182,15 +143,10 @@ func (e *Engine) EnqueueDiscovery(id AnnotationID, priority int) (IngestAdmissio
 // so a crash never leaves an acknowledged async submission without its
 // job. With a full queue the whole call fails (nothing is stored) — the
 // backpressure contract of the async path.
-func (e *Engine) AddAnnotationAsync(a *Annotation, attachTo []TupleID, priority int) (IngestAdmission, error) {
-	var wb *walBinding
-	adm, err := func() (IngestAdmission, error) {
-		home := e.mu.Home(string(a.ID))
-		e.mu.LockShard(home)
-		defer e.mu.UnlockShard(home)
-		wb = e.wal
+func (e *Engine) AddAnnotationAsync(a *Annotation, attachTo []TupleID, priority int) (adm IngestAdmission, err error) {
+	err = e.write(e.mu.Home(string(a.ID)), func() (err error) {
 		if e.ingest == nil {
-			return IngestAdmission{}, ErrIngestDisabled
+			return ErrIngestDisabled
 		}
 		// The ingest mutex spans the capacity pre-check through the enqueue:
 		// the reserve-then-admit sequence must be atomic against enqueues
@@ -202,23 +158,22 @@ func (e *Engine) AddAnnotationAsync(a *Annotation, attachTo []TupleID, priority 
 		// reject the submission outright, not store an orphan annotation.
 		if cap := e.ingest.queue.Cap(); cap > 0 && e.ingest.queue.Len() >= cap {
 			e.ingest.queue.NoteDrop()
-			return IngestAdmission{}, fmt.Errorf("%w (annotation %q)", ErrIngestQueueFull, a.ID)
+			return fmt.Errorf("%w (annotation %q)", ErrIngestQueueFull, a.ID)
 		}
-		if err := e.walAppend(recAddAnnotation(a, attachTo)); err != nil {
-			return IngestAdmission{}, err
+		if _, err := e.commit(recAddAnnotation(a, attachTo)); err != nil {
+			return err
 		}
-		if err := e.addAnnotation(a, attachTo); err != nil {
-			return IngestAdmission{}, err
-		}
-		return e.enqueueJobLocked(a.ID, ingest.KindDiscover, priority)
-	}()
-	err = wb.commit(err)
+		adm, err = e.enqueueJobLocked(a.ID, ingest.KindDiscover, priority)
+		return err
+	})
 	return adm, err
 }
 
 // enqueueJobLocked admits one job and logs its WAL record, returning the
 // admission view (position, depth, coalesced) computed inside the same
-// critical section. Caller holds either the whole lock group in write
+// critical section. The record is an effect record: only the queue knows
+// whether the enqueue admits, upgrades or coalesces, so it logs the result
+// after Enqueue made it. Caller holds either the whole lock group in write
 // mode, or the job's home shard plus e.ingest.mu; ingest is enabled.
 func (e *Engine) enqueueJobLocked(id AnnotationID, kind ingest.Kind, priority int) (IngestAdmission, error) {
 	before := e.ingest.queue.Len()
@@ -281,13 +236,13 @@ func (e *Engine) enqueueAffectedLocked(changed []relational.RowMutation) (int, e
 	return len(affected), nil
 }
 
-// retractAnnotation removes an annotation's machine-derived state — every
-// attachment outside its manual Stage-0 focal, the ACG edges those
-// attachments implied, and its pending verification tasks — returning it
-// to the state a fresh AddAnnotation would have produced. Shared between
-// the drain loop and OpIngestRetract replay; caller holds e.mu in write
-// mode. Retracting an already-retracted annotation is a no-op, which is
-// what makes crash-interrupted drains converge.
+// retractAnnotation applies an OpIngestRetract record: it removes an
+// annotation's machine-derived state — every attachment outside its manual
+// Stage-0 focal, the ACG edges those attachments implied, and its pending
+// verification tasks — returning it to the state a fresh AddAnnotation
+// would have produced. Caller holds e.mu in write mode. Retracting an
+// already-retracted annotation is a no-op, which is what makes
+// crash-interrupted drains converge.
 func (e *Engine) retractAnnotation(id AnnotationID) {
 	manual := make(map[TupleID]struct{}, len(e.manualFocal[id]))
 	for _, t := range e.manualFocal[id] {
@@ -306,7 +261,6 @@ func (e *Engine) retractAnnotation(id AnnotationID) {
 		e.graph.RemoveAttachment(id, t)
 	}
 	e.manager.CancelTasksForAnnotation(id)
-	e.bumpMutEpochFor(id)
 }
 
 // IngestDrainResult reports one DrainIngest call.
@@ -335,18 +289,13 @@ type IngestDrainResult struct {
 // whose discovery did not complete return to the queue with their original
 // sequence numbers.
 func (e *Engine) DrainIngest(ctx context.Context, max int) (res IngestDrainResult, err error) {
-	defer recoverPanic(&err)
-	var wb *walBinding
-	res, err = func() (IngestDrainResult, error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		wb = e.wal
+	err = e.write(allShards, func() (err error) {
 		if e.ingest == nil {
-			return IngestDrainResult{}, ErrIngestDisabled
+			return ErrIngestDisabled
 		}
-		return e.drainLocked(ctx, max)
-	}()
-	err = wb.commit(err)
+		res, err = e.drainLocked(ctx, max)
+		return err
+	})
 	return res, err
 }
 
@@ -375,8 +324,8 @@ func (e *Engine) FlushIngest(ctx context.Context) (IngestDrainResult, error) {
 	}
 }
 
-// drainLocked is the drain core. Caller holds e.mu in write mode with
-// ingest enabled; the binding for commit was captured by the caller.
+// drainLocked is the drain core. Caller runs inside write, holding the
+// whole group, with ingest enabled.
 func (e *Engine) drainLocked(ctx context.Context, max int) (res IngestDrainResult, err error) {
 	var root *trace.Span
 	if e.opts.Trace {
@@ -394,9 +343,12 @@ func (e *Engine) drainLocked(ctx context.Context, max int) (res IngestDrainResul
 	}
 	e.ingest.drains++
 
-	// Phase 1 — retract, in drain order. Each retraction is logged before
-	// it applies; a crash after some retractions re-queues the jobs on
-	// replay (no OpIngestDone yet) and the re-drain's retractions no-op.
+	// Phase 1 — retract, in drain order. Each retraction is committed on
+	// its own; a crash after some retractions re-queues the jobs on replay
+	// (no OpIngestDone yet) and the re-drain's retractions no-op. Jobs
+	// complete through OpIngestDone's MarkDone, as in replay: PopBatch
+	// already removed them, and nothing re-enqueues while the drain holds
+	// the whole group, so it only counts the completion.
 	type slot struct {
 		job   IngestJob
 		a     *Annotation
@@ -410,18 +362,16 @@ func (e *Engine) drainLocked(ctx context.Context, max int) (res IngestDrainResul
 		if !ok {
 			// Deleted after enqueue: nothing to do. Log completion so a
 			// replayed queue does not resurrect the phantom job.
-			if err := e.walAppend(recIngestDone(job.Annotation)); err != nil {
+			if _, err := e.commit(recIngestDone(job.Annotation)); err != nil {
 				return res, err
 			}
-			e.ingest.queue.NoteDone()
 			res.Skipped++
 			e.ingest.skipped++
 			continue
 		}
-		if err := e.walAppend(recIngestRetract(job.Annotation)); err != nil {
+		if _, err := e.commit(recIngestRetract(job.Annotation)); err != nil {
 			return res, err
 		}
-		e.retractAnnotation(job.Annotation)
 		slots = append(slots, slot{job: job, a: a, focal: e.store.Focal(job.Annotation)})
 	}
 
@@ -435,11 +385,7 @@ func (e *Engine) drainLocked(ctx context.Context, max int) (res IngestDrainResul
 	started := make([]bool, len(slots))
 	batchPool(ctx, len(slots), workers, func(i int) {
 		started[i] = true
-		defer func() {
-			if r := recover(); r != nil {
-				slots[i].err = fmt.Errorf("%w: panic: %v\n%s", ErrInternal, r, debug.Stack())
-			}
-		}()
+		defer recoverPanic(&slots[i].err)
 		slots[i].disc, slots[i].err = e.discover(ctx, slots[i].a, slots[i].focal, e.opts)
 	})
 
@@ -450,16 +396,20 @@ func (e *Engine) drainLocked(ctx context.Context, max int) (res IngestDrainResul
 	// (spam quarantine, internal) consume the job — retrying would fail
 	// identically forever.
 	var requeue []IngestJob
-	// fail aborts the fold: jobs not folded yet go back to the queue (their
+	// finish puts the jobs that did not fold back on the queue (their
 	// retractions are logged, so a later drain redoes them as no-ops).
-	fail := func(from int, err error) (IngestDrainResult, error) {
-		for _, s := range slots[from:] {
-			requeue = append(requeue, s.job)
-		}
+	finish := func(err error) (IngestDrainResult, error) {
 		e.ingest.queue.Requeue(requeue)
 		res.Requeued = len(requeue)
 		e.ingest.requeued += uint64(len(requeue))
 		return res, err
+	}
+	// fail aborts the fold: the jobs from slot from on go back too.
+	fail := func(from int, err error) (IngestDrainResult, error) {
+		for _, s := range slots[from:] {
+			requeue = append(requeue, s.job)
+		}
+		return finish(err)
 	}
 	now := time.Now()
 	for i := range slots {
@@ -469,10 +419,9 @@ func (e *Engine) drainLocked(ctx context.Context, max int) (res IngestDrainResul
 			continue
 		}
 		if s.err != nil {
-			if err := e.walAppend(recIngestDone(s.job.Annotation)); err != nil {
+			if _, err := e.commit(recIngestDone(s.job.Annotation)); err != nil {
 				return fail(i, err)
 			}
-			e.ingest.queue.NoteDone()
 			res.Failed++
 			e.ingest.failed++
 			continue
@@ -480,20 +429,14 @@ func (e *Engine) drainLocked(ctx context.Context, max int) (res IngestDrainResul
 		if _, err := e.submit(s.job.Annotation, s.disc); err != nil {
 			return fail(i, err)
 		}
-		if err := e.walAppend(recIngestDone(s.job.Annotation)); err != nil {
+		if _, err := e.commit(recIngestDone(s.job.Annotation)); err != nil {
 			return fail(i+1, err)
 		}
-		e.ingest.queue.NoteDone()
 		res.Drained++
 		e.ingest.freshnessNanos += now.Sub(s.job.EnqueuedAt).Nanoseconds()
 		e.ingest.freshnessJobs++
 	}
-	if len(requeue) > 0 {
-		e.ingest.queue.Requeue(requeue)
-		res.Requeued = len(requeue)
-		e.ingest.requeued += uint64(len(requeue))
-	}
-	return res, nil
+	return finish(nil)
 }
 
 // IngestStats is the observability snapshot behind the nebula_ingest_*

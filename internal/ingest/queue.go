@@ -247,16 +247,13 @@ func (q *Queue) Position(id annotation.ID) int {
 	return pos
 }
 
-// NoteDone counts a completion for a job already outside the queue — the
-// live drain pops first and completes after.
-func (q *Queue) NoteDone() { q.counters.Done++ }
-
 // NoteDrop counts a rejection decided by the engine before Enqueue ran
 // (the async-submit path checks capacity before storing the annotation).
 func (q *Queue) NoteDrop() { q.counters.Dropped++ }
 
-// MarkDone removes the annotation's queued job if present (WAL replay of a
-// completion record) and counts a completion.
+// MarkDone removes the annotation's queued job if present and counts a
+// completion — the apply of a completion record, live (the drain popped
+// the job already) and replayed alike.
 func (q *Queue) MarkDone(id annotation.ID) {
 	q.counters.Done++
 	it, ok := q.byAnn[id]

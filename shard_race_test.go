@@ -199,3 +199,75 @@ func TestShardConcurrentMutationIdentity(t *testing.T) {
 		t.Errorf("concurrent 4-shard state diverged from sequential single-shard control\n--- control\n%s\n--- concurrent\n%s", want, got)
 	}
 }
+
+// TestShardPropagateReadsBesideDiscover runs query-time propagation
+// (PropagateQuery, PropagateJoin) beside cached discoveries on a 4-shard
+// engine. Both hold only the read lock, so under -race this checks that
+// propagation writes no shared state — the scan cache its selects go
+// through included — and every concurrent answer must equal the one
+// computed alone.
+func TestShardPropagateReadsBesideDiscover(t *testing.T) {
+	ds, err := workload.Generate(workload.TinyConfig(23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := nebula.DefaultOptions()
+	opts.Shards = 4
+	e, err := nebula.NewWithState(ds.DB, ds.Meta, ds.Store, ds.Graph, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := ds.Workload[:4]
+	for _, s := range specs {
+		if err := e.AddAnnotation(s.Ann, s.Focal(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gene, protein := nebula.StructuredQuery{Table: "Gene"}, nebula.StructuredQuery{Table: "Protein"}
+	propagated := func() string {
+		rows, err := e.PropagateQuery(gene, nil)
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		joined, err := e.PropagateJoin(protein, gene, nil, nil)
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		var b strings.Builder
+		for _, r := range rows {
+			fmt.Fprintf(&b, "%s %d %v\n", r.Row.ID, len(r.Annotations), r.Confidences)
+		}
+		for _, r := range joined {
+			fmt.Fprintf(&b, "%s %s %d %v\n", r.Left.ID, r.Right.ID, len(r.Annotations), r.Confidences)
+		}
+		return b.String()
+	}
+	want := propagated()
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if got := propagated(); got != want {
+					t.Error("propagation beside discovery answered differently than alone")
+					return
+				}
+			}
+		}()
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				id := specs[(w+i)%len(specs)].Ann.ID
+				if _, err := e.DiscoverRequest(ctx, id, nebula.RequestOptions{}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

@@ -197,7 +197,7 @@ func engineFromState(st snapshot.State, meta snapshot.Meta, configureMeta func(*
 	if st.HasBounds {
 		// The snapshot's thresholds override opts.Bounds: they reflect
 		// every SetBounds/TuneBounds folded into the captured state.
-		if err := e.setBounds(Bounds{Lower: st.BoundsLower, Upper: st.BoundsUpper}); err != nil {
+		if _, err := e.applyRecord(recBounds(Bounds{Lower: st.BoundsLower, Upper: st.BoundsUpper})); err != nil {
 			return nil, fmt.Errorf("nebula: restore bounds: %w", err)
 		}
 	}

@@ -11,42 +11,44 @@ import (
 	"nebula/internal/ingest"
 	"nebula/internal/relational"
 	"nebula/internal/snapshot"
+	"nebula/internal/verification"
 	"nebula/internal/vfs"
 	"nebula/internal/wal"
 )
 
-// This file binds the engine to its write-ahead log. The protocol:
+// This file binds the engine to its write-ahead log. Every mutation is a
+// record, and there is one protocol for all of them:
 //
-//   - Every durable mutation appends a logical wal.Record under the
-//     engine's write lock, BEFORE applying the change, then fsyncs (with
-//     group-commit absorption) after releasing the lock — so concurrent
-//     committers share flushes instead of serializing disk waits behind
-//     the state lock.
+//   - Every write entry point runs through write: it takes the lock scope
+//     (the whole group, or the annotation's home shard), recovers a
+//     pipeline panic as ErrInternal, and syncs the log (with group-commit
+//     absorption) after releasing the lock — so concurrent writers share
+//     flushes instead of serializing disk waits behind the state lock.
+//   - Inside it, a mutator builds a logical wal.Record and calls commit,
+//     which appends the record and then applies it through applyRecord —
+//     the function replay runs. Live and replayed state cannot drift,
+//     because there is one apply path; applyRecord also applies the
+//     record's cache invalidation, through invalidate.
 //   - Records are logical and replay deterministically: outcome-dependent
-//     operations (discovery routing, oracle resolutions, bounds tuning)
-//     log their computed result, never the computation.
-//   - Stage 3 is measure, log, apply: submit and verdict measure the hop
-//     distance of every acceptance live, the record carries it, and the
-//     apply half (applySubmit, applyVerdict) is the one replay runs — so
-//     replay never searches the ACG. Only a record logged before records
-//     carried distances is measured again (ReplayStats.Searches).
+//     operations (discovery routing, oracle resolutions, bounds tuning,
+//     hop distances of Stage-3 acceptances) log their computed result,
+//     never the computation — replay runs no discovery and no ACG search.
+//     Only a record logged before records carried hop distances is
+//     measured again (ReplayStats.Searches).
+//   - Two records are effects, logged after the change they describe:
+//     MutateDB's row operations, which the caller's function applies, and
+//     the ingest queue's admission (the coalesce result of Enqueue).
 //   - Recovery is RestoreEngine (or a fresh engine) + ReplayWAL +
 //     AttachWAL; Checkpoint folds the replayed state into a snapshot and
 //     prunes the covered segments.
 //
 // AttachWAL must happen before the engine is shared across goroutines:
-// the binding pointer is read without the lock on the commit path.
+// the binding pointer is read without the lock on the sync path.
 
 // walBinding carries the per-engine WAL state.
 type walBinding struct {
 	log *wal.Log
 	fs  vfs.FS
-
-	// captureActive/captureErr implement MutateDB row capture; both are
-	// guarded by the engine's write lock (the row hook only fires inside
-	// write-locked mutations).
-	captureActive bool
-	captureErr    error
 
 	// ckptMu serializes checkpoints (Rotate is not safe to race with
 	// itself).
@@ -77,11 +79,8 @@ func (e *Engine) attachWAL(l *wal.Log, fsys vfs.FS) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.wal = &walBinding{log: l, fs: fsys}
-	// Raw MutateDB row operations are captured at the relational layer:
-	// the hook sees every committed Insert/Delete/Update, and the
-	// captureActive flag keeps engine-level operations (DeleteTuple, WAL
-	// replay, snapshot restore) from double-logging their row effects. The
-	// composite hook also feeds the ingest CDC capture when enabled.
+	// Raw MutateDB row operations are captured at the relational layer
+	// (see captureRows), so the row hook must be installed.
 	e.refreshRowHook()
 }
 
@@ -93,13 +92,50 @@ func (e *Engine) WAL() *wal.Log {
 	return e.wal.log
 }
 
-// walAppend logs one record. Callers must hold at least one shard of e.mu
-// in write mode (single-annotation paths hold their home shard; everything
-// else holds the whole group); a nil binding (no WAL) appends nothing. The
-// log serializes concurrent appends from different shards internally. The
-// record is buffered, not yet durable — the binding's commit, called on the
-// binding captured under the same lock, finishes the job after the lock is
-// released.
+// allShards is the write scope of a whole-engine write; any other scope is
+// the home shard (e.mu.Home) of a single-annotation write.
+const allShards = -1
+
+// write runs fn as one write: under the lock scope, with the WAL binding
+// captured under that lock, and synced once the lock is released. A panic
+// in fn unlocks and comes back as ErrInternal. Every write entry point runs
+// through here; fn changes state only through commit (and the two effect
+// records, see the file comment).
+func (e *Engine) write(scope int, fn func() error) (err error) {
+	defer recoverPanic(&err)
+	var wb *walBinding
+	err = func() error {
+		if scope == allShards {
+			e.mu.Lock()
+			defer e.mu.Unlock()
+		} else {
+			e.mu.LockShard(scope)
+			defer e.mu.UnlockShard(scope)
+		}
+		wb = e.wal
+		return fn()
+	}()
+	return wb.sync(err)
+}
+
+// commit is the one live path of a logged write: append rec, then apply it
+// through applyRecord, exactly as replay does. A failed append applies
+// nothing. Caller runs inside write.
+func (e *Engine) commit(rec *wal.Record) (applied, error) {
+	if err := e.walAppend(rec); err != nil {
+		return applied{}, err
+	}
+	return e.applyRecord(rec)
+}
+
+// walAppend logs one record; a nil binding (no WAL) appends nothing. It is
+// called from commit, and directly only for the two effect records
+// (MutateDB's rows, ingest admissions). Callers must hold at least one
+// shard of e.mu in write mode (single-annotation paths hold their home
+// shard; everything else holds the whole group); the log serializes
+// concurrent appends from different shards internally. The record is
+// buffered, not yet durable — write's sync finishes the job after the lock
+// is released.
 func (e *Engine) walAppend(rec *wal.Record) error {
 	if e.wal == nil {
 		return nil
@@ -110,16 +146,16 @@ func (e *Engine) walAppend(rec *wal.Record) error {
 	return nil
 }
 
-// commit makes every record appended so far durable. Called AFTER e.mu
-// is released so concurrent committers group-commit: one fsync covers all
-// of them. The receiver must be the binding captured UNDER e.mu by the
-// mutation being committed (a nil receiver means no WAL was attached) —
-// re-reading e.wal here would race CloseWAL and let a mutator whose
-// record was logged ack success without awaiting durability. A failed
-// operation (opErr != nil) is passed through without syncing — an error
-// reply promises nothing about durability, and replay re-fails the
-// logged intent deterministically.
-func (b *walBinding) commit(opErr error) error {
+// sync makes every record appended so far durable. Called AFTER e.mu is
+// released so concurrent writers group-commit: one fsync covers all of
+// them. The receiver must be the binding captured UNDER e.mu by the write
+// being synced (a nil receiver means no WAL was attached) — re-reading
+// e.wal here would race CloseWAL and let a mutator whose record was logged
+// ack success without awaiting durability. A failed operation
+// (opErr != nil) is passed through without syncing — an error reply
+// promises nothing about durability, and replay re-fails the logged intent
+// deterministically.
+func (b *walBinding) sync(opErr error) error {
 	if b == nil || opErr != nil {
 		return opErr
 	}
@@ -287,9 +323,33 @@ func (e *Engine) ReplayWAL(dir string, fsys vfs.FS) (wal.ReplayStats, error) {
 	}
 	searches := 0
 	stats, err := wal.Replay(dir, wal.ReplayConfig{FS: fsys, FromSegment: e.walBaseSegment},
-		func(rec *wal.Record) error { return e.applyRecord(rec, &searches) })
+		func(rec *wal.Record) error {
+			// A Stage-3 record that logs no hop distances for its
+			// acceptances was written before records carried them: it is
+			// measured again, as the live engine did then.
+			if rec.Hops == nil && (rec.Op == wal.OpSubmit || rec.Op == wal.OpVerdict && rec.Accept) {
+				if rec.Hops = e.measureHops(rec); rec.Hops != nil {
+					searches++
+				}
+			}
+			_, err := e.applyRecord(rec)
+			return err
+		})
 	stats.Searches = searches
 	return stats, err
+}
+
+// measureHops is the live measure step of a Stage-3 record, for a record
+// that predates logged hop distances.
+func (e *Engine) measureHops(rec *wal.Record) []byte {
+	if rec.Op == wal.OpVerdict {
+		return e.manager.MeasureVerify(rec.VID)
+	}
+	cands, err := e.recordCandidates(rec)
+	if err != nil {
+		return nil // applyRecord reports the missing tuple
+	}
+	return e.manager.MeasureSubmit(refTuples(rec.Focal), cands, rec.Degraded)
 }
 
 // RecoverWAL is the boot sequence in one call: replay dir's durable suffix
@@ -316,37 +376,24 @@ func (e *Engine) RecoverWAL(dir string, opts wal.Options) (wal.ReplayStats, erro
 	return stats, nil
 }
 
-// applySubmit is the apply half of submit, and what replay runs. Submit
-// mutates attachments, the ACG, and the hop profile even on partial
-// failure, so the epoch moves regardless of the outcome.
-func (e *Engine) applySubmit(rec *wal.Record, cands []Candidate) (VerificationOutcome, error) {
-	id := AnnotationID(rec.Ann)
-	e.bumpMutEpochFor(id)
-	return e.manager.Submit(id, cands, rec.Degraded, rec.Hops)
+// applied is what applying a record reports back to a live caller.
+type applied struct {
+	outcome             VerificationOutcome // OpSubmit
+	detached, cancelled int                 // OpDeleteTuple
 }
 
-// applyVerdict is the apply half of verdict, and what replay runs.
-func (e *Engine) applyVerdict(rec *wal.Record) error {
-	var err error
-	if rec.Accept {
-		err = e.manager.Verify(rec.VID, rec.Hops)
-	} else {
-		err = e.manager.Reject(rec.VID)
-	}
-	if err != nil {
-		return err
-	}
-	e.bumpMutEpochFor(AnnotationID(rec.Ann))
-	return nil
-}
-
-// applyRecord replays one logged mutation. Caller holds e.mu in write
-// mode. The apply paths are exactly the live mutation cores — record
-// construction and durability are the only things the live wrappers add.
-// A Stage-3 record that logs no hop distances for its acceptances was
-// written before records carried them: it is measured again, as the live
-// engine did then, and counted in *searches.
-func (e *Engine) applyRecord(rec *wal.Record, searches *int) error {
+// applyRecord applies one logged mutation: the second half of commit, and
+// all of replay. Caller holds e.mu in write mode (or, for an
+// OpAddAnnotation, the annotation's home shard). It ends with the record's
+// cache invalidation.
+func (e *Engine) applyRecord(rec *wal.Record) (res applied, err error) {
+	defer func() {
+		// A refused record changed nothing and so outdates nothing; only a
+		// Submit can fail after changing state (it attaches last).
+		if err == nil || rec.Op == wal.OpSubmit {
+			e.invalidate(rec)
+		}
+	}()
 	switch rec.Op {
 	case wal.OpAddAnnotation:
 		a := &Annotation{
@@ -355,76 +402,71 @@ func (e *Engine) applyRecord(rec *wal.Record, searches *int) error {
 			Body:   rec.Body,
 			Kind:   rec.Kind,
 		}
-		return e.addAnnotation(a, refTuples(rec.AttachTo))
+		return res, e.addAnnotation(a, refTuples(rec.AttachTo))
 
 	case wal.OpDeleteTuple:
-		_, _, err := e.deleteTuple(refTuple(rec.Tuple))
-		return err
+		res.detached, res.cancelled, err = e.deleteTuple(refTuple(rec.Tuple))
+		return res, err
 
 	case wal.OpInsertRow:
 		t, ok := e.db.Table(rec.Table)
 		if !ok {
-			return fmt.Errorf("nebula: wal replay: unknown table %q", rec.Table)
+			return res, fmt.Errorf("nebula: wal replay: unknown table %q", rec.Table)
 		}
 		values := make([]Value, len(rec.Values))
 		for i, c := range rec.Values {
 			values[i] = cellValue(c)
 		}
 		_, err := t.Insert(values)
-		return err
+		return res, err
 
 	case wal.OpUpdateRow:
 		t, ok := e.db.Table(rec.Tuple.Table)
 		if !ok {
-			return fmt.Errorf("nebula: wal replay: unknown table %q", rec.Tuple.Table)
+			return res, fmt.Errorf("nebula: wal replay: unknown table %q", rec.Tuple.Table)
 		}
-		return t.UpdateByKey(rec.Tuple.Key, rec.Column, cellValue(rec.Value))
+		return res, t.UpdateByKey(rec.Tuple.Key, rec.Column, cellValue(rec.Value))
 
 	case wal.OpDeleteRow:
 		t, ok := e.db.Table(rec.Tuple.Table)
 		if !ok {
-			return fmt.Errorf("nebula: wal replay: unknown table %q", rec.Tuple.Table)
+			return res, fmt.Errorf("nebula: wal replay: unknown table %q", rec.Tuple.Table)
 		}
 		if !t.DeleteByKey(rec.Tuple.Key) {
-			return fmt.Errorf("nebula: wal replay: no tuple %s", refTuple(rec.Tuple))
+			return res, fmt.Errorf("nebula: wal replay: no tuple %s", refTuple(rec.Tuple))
 		}
-		return nil
+		return res, nil
 
 	case wal.OpSubmit:
 		// Pin the VID counter so replayed tasks get the identifiers the
-		// recorded verdicts reference.
+		// recorded verdicts reference (live, it already holds FirstVID).
 		e.manager.SetNextVID(rec.FirstVID)
-		cands := make([]Candidate, 0, len(rec.Candidates))
-		for _, c := range rec.Candidates {
-			row, ok := e.db.Lookup(refTuple(c.Tuple))
-			if !ok {
-				return fmt.Errorf("nebula: wal replay: candidate tuple %s not in database", c.Tuple)
-			}
-			cands = append(cands, Candidate{Tuple: row, Confidence: c.Confidence, Evidence: c.Evidence})
+		cands, err := e.recordCandidates(rec)
+		if err != nil {
+			return res, err
 		}
-		if rec.Hops == nil {
-			if rec.Hops = e.manager.MeasureSubmit(refTuples(rec.Focal), cands, rec.Degraded); rec.Hops != nil {
-				*searches++
-			}
-		}
-		_, err := e.applySubmit(rec, cands)
-		return err
+		res.outcome, err = e.manager.Submit(AnnotationID(rec.Ann), cands, rec.Degraded, rec.Hops)
+		return res, err
 
 	case wal.OpVerdict:
-		if rec.Accept && rec.Hops == nil {
-			if rec.Hops = e.manager.MeasureVerify(rec.VID); rec.Hops != nil {
-				*searches++
-			}
+		if rec.Accept {
+			return res, e.manager.Verify(rec.VID, rec.Hops)
 		}
-		return e.applyVerdict(rec)
+		return res, e.manager.Reject(rec.VID)
 
 	case wal.OpSetBounds:
-		return e.setBounds(Bounds{Lower: rec.Lower, Upper: rec.Upper})
+		b := Bounds{Lower: rec.Lower, Upper: rec.Upper}
+		if err := e.manager.SetBounds(verification.Bounds(b)); err != nil {
+			return res, err
+		}
+		e.opts.Bounds = b
+		return res, nil
 
 	case wal.OpIngestEnqueue:
-		// CDC never re-derives jobs during replay (the capture flag stays
-		// off); the logged admissions ARE the queue. Force preserves the
-		// recorded sequence so drain order matches the pre-crash queue.
+		// An effect record: live, the queue already admitted the job. CDC
+		// never re-derives jobs during replay (capture stays off); the
+		// logged admissions ARE the queue. Force preserves the recorded
+		// sequence so drain order matches the pre-crash queue.
 		if e.ingest != nil {
 			e.ingest.queue.Force(ingest.Job{
 				Annotation: annotation.ID(rec.Ann),
@@ -434,24 +476,40 @@ func (e *Engine) applyRecord(rec *wal.Record, searches *int) error {
 				EnqueuedAt: time.Now(),
 			})
 		}
-		return nil
+		return res, nil
 
 	case wal.OpIngestRetract:
 		// Retraction is deterministic given the state the prior records
 		// produced; re-applying a half-drained job's retraction is
 		// idempotent.
 		e.retractAnnotation(AnnotationID(rec.Ann))
-		return nil
+		return res, nil
 
 	case wal.OpIngestDone:
+		// Live, the drain popped the job already and only the completion
+		// is counted; replay also removes the re-admitted job.
 		if e.ingest != nil {
 			e.ingest.queue.MarkDone(annotation.ID(rec.Ann))
 		}
-		return nil
+		return res, nil
 
 	default:
-		return fmt.Errorf("nebula: wal replay: unknown op %v", rec.Op)
+		return res, fmt.Errorf("nebula: wal replay: unknown op %v", rec.Op)
 	}
+}
+
+// recordCandidates resolves an OpSubmit record's candidates against the
+// database.
+func (e *Engine) recordCandidates(rec *wal.Record) ([]Candidate, error) {
+	cands := make([]Candidate, 0, len(rec.Candidates))
+	for _, c := range rec.Candidates {
+		row, ok := e.db.Lookup(refTuple(c.Tuple))
+		if !ok {
+			return nil, fmt.Errorf("nebula: candidate tuple %s not in database", c.Tuple)
+		}
+		cands = append(cands, Candidate{Tuple: row, Confidence: c.Confidence, Evidence: c.Evidence})
+	}
+	return cands, nil
 }
 
 // --- checkpoint ---
@@ -554,8 +612,6 @@ func (e *Engine) CloseWAL() error {
 	b := e.wal
 	e.wal = nil
 	if b != nil {
-		// Rebuild the row hook without the WAL leg; ingest CDC capture (if
-		// enabled) must keep observing mutations after the log detaches.
 		e.refreshRowHook()
 	}
 	e.mu.Unlock()
