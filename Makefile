@@ -15,8 +15,10 @@ all: build test
 # crash-recovery matrix (cut the log at every boundary and interior byte;
 # the recovered engine must match the durable prefix exactly), the
 # differential restore suites (the concurrent bulk-load restore against the
-# one-insert-at-a-time reference, repeated under the race detector), and
-# the planner, ingest, shard and segment identity suites under -race.
+# one-insert-at-a-time reference, repeated under the race detector), the
+# ACG and annotation-store model invariants with their retained-heap
+# budgets per edge, and the planner, ingest, shard and segment identity
+# suites under -race.
 # Performance is measured by benchmark/ (see benchmark/README.md), not here.
 check:
 	$(MAKE) fmt-check
@@ -30,6 +32,7 @@ check:
 	$(GO) test -count=2 ./cmd/...
 	$(GO) test -race -run 'WAL' ./internal/wal/ .
 	$(GO) test -race -count=5 -run 'Restore|Load|Snapshot' ./internal/snapshot/ ./internal/relational/ ./internal/annotation/ ./internal/acg/ .
+	$(GO) test -count=3 -run 'Heap|Invariant' ./internal/acg/ ./internal/annotation/
 	$(GO) test -race -run 'Plan|Golden|Estimate' ./internal/discovery/ ./internal/keyword/ ./internal/meta/
 	$(GO) test -race -run 'Ingest|Stream|Queue' ./internal/ingest/ ./internal/server/ .
 	$(GO) test -race -run 'Shard' ./internal/shard/ .

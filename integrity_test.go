@@ -1,6 +1,8 @@
 package nebula_test
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -66,6 +68,34 @@ func TestCheckIntegrityDetectsRawMutations(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("problems = %v", report.Problems)
+	}
+}
+
+// TestCheckIntegrityFlagsGraphAttachmentWithoutStoreEdge wires an
+// (annotation, tuple) pair into the ACG alone: the graph's edges then join
+// tuples the store never attached, which the audit must report.
+func TestCheckIntegrityFlagsGraphAttachmentWithoutStoreEdge(t *testing.T) {
+	e, ds := engineFixture(t, nebula.DefaultOptions())
+	spec := ds.WorkloadSet(500, workload.RefClass{Min: 1, Max: 3})[0]
+	if err := e.AddAnnotation(spec.Ann, spec.Focal(1)); err != nil {
+		t.Fatal(err)
+	}
+	if report := e.CheckIntegrity(); !report.OK() {
+		t.Fatalf("problems before the raw attachment: %v", report.Problems)
+	}
+	var stray nebula.TupleID
+	for _, row := range e.DB().MustTable("Gene").Rows() {
+		if _, attached := e.Store().Edge(spec.Ann.ID, row.ID); !attached {
+			stray = row.ID
+			break
+		}
+	}
+	e.Graph().AddAttachment(spec.Ann.ID, stray)
+
+	report := e.CheckIntegrity()
+	want := fmt.Sprintf("ACG attachment %s -> %s is not a true attachment in the store", spec.Ann.ID, stray)
+	if !slices.Contains(report.Problems, want) {
+		t.Fatalf("problems = %v, want %q among them", report.Problems, want)
 	}
 }
 

@@ -18,7 +18,9 @@ import (
 // tuples iff they share at least one annotation. The edge weight α is the
 // ratio between the common annotations and the total annotations attached
 // to the two tuples (Jaccard of their annotation sets), recomputed from the
-// node sets on demand so it stays exact as annotations accumulate.
+// node sets on demand so it stays exact as annotations accumulate. The
+// annotation sets are the one record of which tuples share what; the
+// neighbor lists only order the edges they imply for traversal.
 //
 // Synchronization contract: the engine's sharded lock group is the Graph's
 // primary guard. The only mutations reachable while holding a single shard
@@ -34,9 +36,9 @@ type Graph struct {
 	anns map[relational.TupleID]map[annotation.ID]struct{}
 	// byAnn maps each annotation to the tuples it is attached to.
 	byAnn map[annotation.ID][]relational.TupleID
-	// adj is the adjacency structure (unweighted; weights on demand). Each
-	// node keeps both a membership set (O(1) edge checks) and an append-only
-	// neighbor list (cheap iteration for the BFS-heavy spreading search).
+	// adj holds each connected node's neighbor list (unweighted; weights
+	// on demand), iterated by the BFS-heavy spreading search. Whether two
+	// tuples are adjacent is answered from anns, not from here.
 	adj map[relational.TupleID]*adjacency
 
 	stability stabilityTracker
@@ -101,7 +103,8 @@ func (g *Graph) AddAttachment(id annotation.ID, t relational.TupleID) {
 }
 
 // attach wires one (annotation, tuple) pair and returns the number of new
-// edges created.
+// edges created. An edge t–other is new exactly when the two shared no
+// annotation before id joins t's set.
 func (g *Graph) attach(id annotation.ID, t relational.TupleID) int {
 	set, ok := g.anns[t]
 	if !ok {
@@ -111,40 +114,27 @@ func (g *Graph) attach(id annotation.ID, t relational.TupleID) int {
 	if _, dup := set[id]; dup {
 		return 0
 	}
-	set[id] = struct{}{}
 	newEdges := 0
 	for _, other := range g.byAnn[id] {
-		if other == t {
+		if other == t || g.shareAnnotation(t, other) {
 			continue
 		}
-		if g.addEdge(t, other) {
-			newEdges++
-		}
+		g.addEdge(t, other)
+		newEdges++
 	}
+	set[id] = struct{}{}
 	g.byAnn[id] = append(g.byAnn[id], t)
 	return newEdges
 }
 
-// adjacency is one node's edge structure.
+// adjacency is one node's neighbor list, in the order the edges were made.
+// It holds each neighbor once: an edge is added only when its two tuples
+// start to share an annotation, and removed when they stop.
 type adjacency struct {
-	set  map[relational.TupleID]struct{}
 	list []relational.TupleID
 }
 
-func (a *adjacency) add(t relational.TupleID) bool {
-	if _, dup := a.set[t]; dup {
-		return false
-	}
-	a.set[t] = struct{}{}
-	a.list = append(a.list, t)
-	return true
-}
-
 func (a *adjacency) remove(t relational.TupleID) {
-	if _, ok := a.set[t]; !ok {
-		return
-	}
-	delete(a.set, t)
 	for i, x := range a.list {
 		if x == t {
 			a.list = append(a.list[:i:i], a.list[i+1:]...)
@@ -153,47 +143,39 @@ func (a *adjacency) remove(t relational.TupleID) {
 	}
 }
 
-// addEdge inserts the undirected edge and reports whether it was new.
-func (g *Graph) addEdge(a, b relational.TupleID) bool {
-	na, ok := g.adj[a]
-	if !ok {
-		na = &adjacency{set: make(map[relational.TupleID]struct{})}
-		g.adj[a] = na
+// addEdge appends the new undirected edge a–b to both neighbor lists.
+func (g *Graph) addEdge(a, b relational.TupleID) {
+	for _, end := range [2][2]relational.TupleID{{a, b}, {b, a}} {
+		from, to := end[0], end[1]
+		n, ok := g.adj[from]
+		if !ok {
+			n = &adjacency{}
+			g.adj[from] = n
+		}
+		n.list = append(n.list, to)
 	}
-	if !na.add(b) {
-		return false
-	}
-	nb, ok := g.adj[b]
-	if !ok {
-		nb = &adjacency{set: make(map[relational.TupleID]struct{})}
-		g.adj[b] = nb
-	}
-	nb.add(a)
-	return true
 }
 
 // Weight returns the edge weight α between two tuples: |common| / |union|
-// of their annotation sets, or 0 when no edge exists.
+// of their annotation sets, or 0 when they share none (no edge).
 func (g *Graph) Weight(a, b relational.TupleID) float64 {
-	na, ok := g.adj[a]
-	if !ok {
-		return 0
-	}
-	if _, connected := na.set[b]; !connected {
+	if a == b {
 		return 0
 	}
 	sa, sb := g.anns[a], g.anns[b]
+	if len(sb) < len(sa) {
+		sa, sb = sb, sa
+	}
 	common := 0
 	for id := range sa {
 		if _, ok := sb[id]; ok {
 			common++
 		}
 	}
-	union := len(sa) + len(sb) - common
-	if union == 0 {
+	if common == 0 {
 		return 0
 	}
-	return float64(common) / float64(union)
+	return float64(common) / float64(len(sa)+len(sb)-common)
 }
 
 // Neighbors returns the direct neighbors of a tuple, sorted for
@@ -217,31 +199,8 @@ func (g *Graph) AnnotationsOf(t relational.TupleID) int { return len(g.anns[t]) 
 // tuple is deleted from the database. Stability counters are not rewound —
 // the batch history already happened.
 func (g *Graph) RemoveTuple(t relational.TupleID) {
-	anns, ok := g.anns[t]
-	if !ok {
-		return
-	}
-	for id := range anns {
-		tuples := g.byAnn[id]
-		for i, other := range tuples {
-			if other == t {
-				g.byAnn[id] = append(tuples[:i:i], tuples[i+1:]...)
-				break
-			}
-		}
-		if len(g.byAnn[id]) == 0 {
-			delete(g.byAnn, id)
-		}
-	}
-	delete(g.anns, t)
-	if adj, ok := g.adj[t]; ok {
-		for _, nb := range adj.list {
-			g.adj[nb].remove(t)
-			if len(g.adj[nb].list) == 0 {
-				delete(g.adj, nb)
-			}
-		}
-		delete(g.adj, t)
+	for id := range g.anns[t] {
+		g.RemoveAttachment(id, t)
 	}
 }
 

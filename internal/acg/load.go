@@ -20,12 +20,12 @@ type AnnotationTuples struct {
 // same tuple order per annotation and the same neighbor order per node. An
 // annotation may be listed once only.
 //
-// AddAnnotation pays for every attachment in hashes of tuple identities:
-// the node's annotation set, then for each earlier tuple of the annotation
-// both adjacency records and both neighbor sets. Load numbers the tuples
-// once, finds the edges over those numbers in the order AddAnnotation would
-// add them, and only then builds the maps, each at its final size with one
-// insert per entry; tuple and neighbor lists are cut out of two slabs. It
+// AddAnnotation pays for every attachment in hashes: the node's annotation
+// set, then for each earlier tuple of the annotation a shared-annotation
+// test and both adjacency records. Load numbers the tuples once, finds the
+// edges over those numbers in the order AddAnnotation would add them, and
+// only then builds the maps, each at its final size with one insert per
+// entry; tuple and neighbor lists are cut out of two slabs. It
 // takes no lock and makes no stability observation: the graph is not shared
 // yet, and a caller restoring a dump sets the tracker with
 // RestoreStabilityState.
@@ -151,10 +151,6 @@ func Load(batchSize int, mu float64, anns []AnnotationTuples) (*Graph, error) {
 		adj := &records[0]
 		records = records[1:]
 		adj.list = neighbors[next[n]-d : next[n] : next[n]]
-		adj.set = make(map[relational.TupleID]struct{}, d)
-		for _, nb := range adj.list {
-			adj.set[nb] = struct{}{}
-		}
 		g.adj[nodes[n]] = adj
 	}
 	return g, nil

@@ -20,7 +20,7 @@ func LoadStore(anns []Annotation, atts []Attachment) (*Store, error) {
 	s := &Store{
 		annotations:  make(map[ID]*Annotation, len(anns)),
 		byAnnotation: make(map[ID][]*Attachment, len(anns)),
-		edges:        make(map[EdgeKey]*Attachment, len(atts)),
+		edgeCount:    len(atts),
 	}
 	if len(anns) > 0 {
 		s.order = make([]ID, 0, len(anns))
@@ -41,6 +41,7 @@ func LoadStore(anns []Annotation, atts []Attachment) (*Store, error) {
 
 	// First pass: check every edge and count the lists it lands in.
 	tuples := make(map[relational.TupleID]int32, len(atts)/2)
+	pairs := make(map[uint64]struct{}, len(atts)) // annotation<<32 | tuple
 	annOf, tupleOf := make([]int32, len(atts)), make([]int32, len(atts))
 	annCount := make([]int32, len(anns))
 	var tupleCount []int32
@@ -55,15 +56,15 @@ func LoadStore(anns []Annotation, atts []Attachment) (*Store, error) {
 		} else if att.Confidence < 0 || att.Confidence >= 1 {
 			return nil, fmt.Errorf("attach: predicted confidence %f outside [0,1)", att.Confidence)
 		}
-		s.edges[att.edgeKey()] = att
-		if len(s.edges) != i+1 {
-			return nil, fmt.Errorf("attach: second edge %s -> %s", att.Annotation, att.Tuple)
-		}
 		ti, ok := tuples[att.Tuple]
 		if !ok {
 			ti = int32(len(tupleCount))
 			tuples[att.Tuple] = ti
 			tupleCount = append(tupleCount, 0)
+		}
+		pairs[uint64(ai)<<32|uint64(ti)] = struct{}{}
+		if len(pairs) != i+1 {
+			return nil, fmt.Errorf("attach: second edge %s -> %s", att.Annotation, att.Tuple)
 		}
 		annOf[i], tupleOf[i] = ai, ti
 		annCount[ai]++

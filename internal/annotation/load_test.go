@@ -57,7 +57,7 @@ func requireSameStore(t *testing.T, got, want *Store) {
 		{"insertion order", got.order, want.order},
 		{"per-annotation edge lists", got.byAnnotation, want.byAnnotation},
 		{"per-tuple edge lists", got.byTuple, want.byTuple},
-		{"edge set", got.edges, want.edges},
+		{"edge count", got.edgeCount, want.edgeCount},
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {
 			t.Fatalf("%s differ", c.name)

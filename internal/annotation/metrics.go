@@ -27,43 +27,30 @@ type QualityMetrics struct {
 // against an ideal edge set, using set-difference semantics. An edge counts
 // regardless of type: accepted predictions have been promoted to true
 // attachments, and pending predictions are still edges of E (dotted lines).
-func (s *Store) Quality(ideal IdealEdges) QualityMetrics {
-	m := QualityMetrics{IdealEdges: len(ideal), ActualEdges: len(s.edges)}
-	for key := range ideal {
-		if _, ok := s.edges[key]; !ok {
-			m.Missing++
-		}
-	}
-	for key := range s.edges {
-		if _, ok := ideal[key]; !ok {
-			m.Spurious++
-		}
-	}
-	if m.IdealEdges > 0 {
-		m.FalseNegativeRatio = float64(m.Missing) / float64(m.IdealEdges)
-	}
-	if m.ActualEdges > 0 {
-		m.FalsePositiveRatio = float64(m.Spurious) / float64(m.ActualEdges)
-	}
-	return m
-}
+func (s *Store) Quality(ideal IdealEdges) QualityMetrics { return s.quality(ideal, false) }
 
 // QualityTrueOnly computes the same metrics considering only true
 // attachments as E — the state of the database before Nebula's predictions
 // are added, which per §3 is guaranteed to have F_P = 0.
-func (s *Store) QualityTrueOnly(ideal IdealEdges) QualityMetrics {
-	trueEdges := s.TrueEdgeSet()
-	m := QualityMetrics{IdealEdges: len(ideal), ActualEdges: len(trueEdges)}
-	for key := range ideal {
-		if _, ok := trueEdges[key]; !ok {
-			m.Missing++
+func (s *Store) QualityTrueOnly(ideal IdealEdges) QualityMetrics { return s.quality(ideal, true) }
+
+// quality walks E once: every edge of E outside E_ideal is spurious, and
+// every edge of E_ideal not met on the walk is missing. E holds each
+// (annotation, tuple) pair once, so the pairs met are |E| − spurious.
+func (s *Store) quality(ideal IdealEdges, trueOnly bool) QualityMetrics {
+	m := QualityMetrics{IdealEdges: len(ideal)}
+	for _, atts := range s.byAnnotation {
+		for _, att := range atts {
+			if trueOnly && att.Type != TrueAttachment {
+				continue
+			}
+			m.ActualEdges++
+			if _, ok := ideal[att.edgeKey()]; !ok {
+				m.Spurious++
+			}
 		}
 	}
-	for key := range trueEdges {
-		if _, ok := ideal[key]; !ok {
-			m.Spurious++
-		}
-	}
+	m.Missing = m.IdealEdges - (m.ActualEdges - m.Spurious)
 	if m.IdealEdges > 0 {
 		m.FalseNegativeRatio = float64(m.Missing) / float64(m.IdealEdges)
 	}

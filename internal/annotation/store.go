@@ -8,9 +8,10 @@ import (
 	"nebula/internal/relational"
 )
 
-// Store holds annotations and their attachment edges with bidirectional
-// indexes. It is the "existing annotation management engine" the Nebula
-// prototype is realized on top of.
+// Store holds annotations and their attachment edges, each edge listed once
+// from the annotation side and once from the tuple side. It is the
+// "existing annotation management engine" the Nebula prototype is realized
+// on top of.
 //
 // Synchronization contract: the engine's sharded lock group is the Store's
 // primary guard. The only Store mutations reachable while holding a single
@@ -20,19 +21,21 @@ import (
 // contexts where the caller holds every shard (whole-group write or read
 // lock), so they rely on that exclusion and take no internal lock.
 type Store struct {
-	// mu guards the annotations map, order slice, and edge indexes against
+	// mu guards the annotations map, order slice, and edge lists against
 	// the single-shard-locked paths (Add/Attach writes vs Get reads).
 	mu sync.RWMutex
 
 	annotations map[ID]*Annotation
 	order       []ID // insertion order for deterministic iteration
 
-	// byAnnotation indexes edges from the annotation side.
+	// byAnnotation lists each annotation's edges in attachment order.
 	byAnnotation map[ID][]*Attachment
-	// byTuple indexes edges from the data side.
+	// byTuple lists each tuple's edges in attachment order. The two lists
+	// hold the same pointers; an (annotation, tuple) pair is found by
+	// scanning the shorter of its two lists (see edge).
 	byTuple map[relational.TupleID][]*Attachment
-	// edges deduplicates (annotation, tuple) pairs.
-	edges map[EdgeKey]*Attachment
+	// edgeCount is the number of edges, the length of either view.
+	edgeCount int
 }
 
 // NewStore returns an empty annotation store.
@@ -41,7 +44,6 @@ func NewStore() *Store {
 		annotations:  make(map[ID]*Annotation),
 		byAnnotation: make(map[ID][]*Attachment),
 		byTuple:      make(map[relational.TupleID][]*Attachment),
-		edges:        make(map[EdgeKey]*Attachment),
 	}
 }
 
@@ -72,7 +74,7 @@ func (s *Store) Get(id ID) (*Annotation, bool) {
 func (s *Store) Len() int { return len(s.annotations) }
 
 // EdgeCount returns the number of (annotation, tuple) edges.
-func (s *Store) EdgeCount() int { return len(s.edges) }
+func (s *Store) EdgeCount() int { return s.edgeCount }
 
 // IDs returns annotation IDs in insertion order.
 func (s *Store) IDs() []ID {
@@ -96,8 +98,7 @@ func (s *Store) Attach(att Attachment) (*Attachment, error) {
 	} else if att.Confidence < 0 || att.Confidence >= 1 {
 		return nil, fmt.Errorf("attach: predicted confidence %f outside [0,1)", att.Confidence)
 	}
-	key := att.edgeKey()
-	if existing, ok := s.edges[key]; ok {
+	if existing := s.edge(att.Annotation, att.Tuple); existing != nil {
 		if existing.Type == TrueAttachment {
 			return existing, nil
 		}
@@ -110,7 +111,7 @@ func (s *Store) Attach(att Attachment) (*Attachment, error) {
 	}
 	stored := &Attachment{}
 	*stored = att
-	s.edges[key] = stored
+	s.edgeCount++
 	s.byAnnotation[att.Annotation] = append(s.byAnnotation[att.Annotation], stored)
 	s.byTuple[att.Tuple] = append(s.byTuple[att.Tuple], stored)
 	return stored, nil
@@ -119,12 +120,11 @@ func (s *Store) Attach(att Attachment) (*Attachment, error) {
 // Detach removes the edge between an annotation and a tuple. It reports
 // whether an edge was removed.
 func (s *Store) Detach(id ID, tuple relational.TupleID) bool {
-	key := EdgeKey{Annotation: id, Tuple: tuple}
-	att, ok := s.edges[key]
-	if !ok {
+	att := s.edge(id, tuple)
+	if att == nil {
 		return false
 	}
-	delete(s.edges, key)
+	s.edgeCount--
 	s.byAnnotation[id] = removeAttachment(s.byAnnotation[id], att)
 	if len(s.byAnnotation[id]) == 0 {
 		delete(s.byAnnotation, id)
@@ -149,22 +149,18 @@ func removeAttachment(list []*Attachment, target *Attachment) []*Attachment {
 // referential-integrity hook for tuple deletion. It returns the number of
 // edges removed.
 func (s *Store) DetachTuple(tuple relational.TupleID) int {
-	atts := s.byTuple[tuple]
-	ids := make([]ID, len(atts))
-	for i, att := range atts {
-		ids[i] = att.Annotation
+	atts := s.byTuple[tuple] // Detach swaps in a shortened copy; atts stays whole
+	for _, att := range atts {
+		s.Detach(att.Annotation, tuple)
 	}
-	for _, id := range ids {
-		s.Detach(id, tuple)
-	}
-	return len(ids)
+	return len(atts)
 }
 
 // Promote converts a predicted edge into a true attachment (confidence 1).
 // This is what happens when a verification task is accepted (§7).
 func (s *Store) Promote(id ID, tuple relational.TupleID) error {
-	att, ok := s.edges[EdgeKey{Annotation: id, Tuple: tuple}]
-	if !ok {
+	att := s.edge(id, tuple)
+	if att == nil {
 		return fmt.Errorf("promote: no edge %s -> %s", id, tuple)
 	}
 	att.Type = TrueAttachment
@@ -174,8 +170,25 @@ func (s *Store) Promote(id ID, tuple relational.TupleID) error {
 
 // Edge returns the attachment between an annotation and a tuple, if any.
 func (s *Store) Edge(id ID, tuple relational.TupleID) (*Attachment, bool) {
-	att, ok := s.edges[EdgeKey{Annotation: id, Tuple: tuple}]
-	return att, ok
+	att := s.edge(id, tuple)
+	return att, att != nil
+}
+
+// edge finds the attachment between an annotation and a tuple by scanning
+// the shorter of the annotation's and the tuple's edge lists, so the cost
+// is bounded by the tuple's annotations even for an annotation attached to
+// thousands of tuples. It returns nil when there is none.
+func (s *Store) edge(id ID, tuple relational.TupleID) *Attachment {
+	list := s.byAnnotation[id]
+	if byTuple := s.byTuple[tuple]; len(byTuple) < len(list) {
+		list = byTuple
+	}
+	for _, att := range list {
+		if att.Annotation == id && att.Tuple == tuple {
+			return att
+		}
+	}
+	return nil
 }
 
 // Attachments returns the edges of one annotation, optionally filtered by
@@ -244,9 +257,11 @@ func (s *Store) AnnotatedTuples() []relational.TupleID {
 // attachments — the E of Definition 3.1 restricted to solid edges.
 func (s *Store) TrueEdgeSet() map[EdgeKey]struct{} {
 	out := make(map[EdgeKey]struct{})
-	for key, att := range s.edges {
-		if att.Type == TrueAttachment {
-			out[key] = struct{}{}
+	for _, atts := range s.byAnnotation {
+		for _, att := range atts {
+			if att.Type == TrueAttachment {
+				out[att.edgeKey()] = struct{}{}
+			}
 		}
 	}
 	return out

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -254,6 +255,58 @@ func TestShardPropagateReadsBesideDiscover(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				if got := propagated(); got != want {
 					t.Error("propagation beside discovery answered differently than alone")
+					return
+				}
+			}
+		}()
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				id := specs[(w+i)%len(specs)].Ann.ID
+				if _, err := e.DiscoverRequest(ctx, id, nebula.RequestOptions{}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestShardCheckIntegrityBesideDiscover runs the integrity audit beside
+// cached discoveries on a 4-shard engine. Both hold only the read lock, so
+// under -race this checks that the audit writes no shared state, and every
+// concurrent audit must report what the audit alone reports.
+func TestShardCheckIntegrityBesideDiscover(t *testing.T) {
+	ds, err := workload.Generate(workload.TinyConfig(23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := nebula.DefaultOptions()
+	opts.Shards = 4
+	e, err := nebula.NewWithState(ds.DB, ds.Meta, ds.Store, ds.Graph, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := ds.Workload[:4]
+	for _, s := range specs {
+		if err := e.AddAnnotation(s.Ann, s.Focal(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := e.CheckIntegrity()
+	if !want.OK() || want.GraphNodes == 0 {
+		t.Fatalf("audit alone: %+v", want)
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if got := e.CheckIntegrity(); !reflect.DeepEqual(got, want) {
+					t.Errorf("audit beside discovery reported %+v, alone %+v", got, want)
 					return
 				}
 			}
