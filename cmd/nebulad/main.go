@@ -34,11 +34,12 @@
 // --ingest arms the streaming proactive pipeline: POST /v1/annotations/async
 // queues discovery instead of running it inline (202 with the queue
 // position; 429 + Retry-After when the queue is full), tuple mutations
-// re-queue exactly the annotations attached within --ingest-hops of the
-// changed rows, and --ingest-drain-every runs a background drain at that
-// cadence (0 leaves draining to POST /v1/ingest/flush). SIGTERM flushes the
-// queue before the drain snapshot so async submissions leave as
-// attachments.
+// re-queue the annotations attached within --ingest-hops of the changed
+// rows (an update of a column no keyword query reads re-queues only its
+// own row's annotations), and --ingest-drain-every runs a background
+// drain at that cadence (0 leaves draining to POST /v1/ingest/flush).
+// SIGTERM flushes the queue before the drain snapshot so async
+// submissions leave as attachments.
 //
 // --slow-request D arms the structured slow-request log: any request at or
 // over D is logged at Warn with its request-scoped span tree. --debug-addr
@@ -152,7 +153,7 @@ func run(args []string) error {
 	fs.DurationVar(&cfg.slowRequest, "slow-request", 0, "log requests at or over this duration at Warn with their span tree (0 = off)")
 	fs.BoolVar(&cfg.ingest, "ingest", false, "enable the streaming ingest pipeline (async submits + change-driven re-discovery)")
 	fs.IntVar(&cfg.ingestQueueCap, "ingest-queue-cap", 0, "queued discovery jobs before async submits get 429 (0 = default 1024)")
-	fs.IntVar(&cfg.ingestHops, "ingest-hops", 0, "ACG neighborhood radius for change-driven re-discovery (0 = default 1)")
+	fs.IntVar(&cfg.ingestHops, "ingest-hops", 0, "ACG neighborhood radius for change-driven re-discovery after inserts, deletes and updates of key, FK or NebulaMeta target columns; any other update re-queues only its own row (0 = default 1)")
 	fs.DurationVar(&cfg.ingestEvery, "ingest-drain-every", time.Second, "background drain cadence for queued jobs (0 = manual flush only)")
 	fs.IntVar(&cfg.shards, "shards", 0, "hash-partition the engine's annotation state across N lock shards (0 or 1 = single shard; results are identical at any count)")
 	fs.StringVar(&cfg.debugAddr, "debug-addr", "", "serve net/http/pprof on this extra listener (empty = off; keep it loopback-only)")

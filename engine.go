@@ -263,13 +263,15 @@ func (e *Engine) MutateDB(fn func(db *Database) error) error {
 				return lerr
 			}
 		}
-		if err != nil || e.ingest == nil || len(rows) == 0 {
+		if e.ingest == nil || len(rows) == 0 {
 			return err
 		}
-		// Change-data-capture: the committed row mutations seed the K-hop
-		// ACG query that decides which prior attachments need
-		// re-discovery. Runs only on success.
-		_, err = e.enqueueAffectedLocked(rows)
+		// Change-data-capture: the applied row mutations decide which
+		// prior attachments need re-discovery. It runs whatever fn
+		// returned, because the rows stand either way; fn's error wins.
+		if _, cerr := e.enqueueAffectedLocked(rows); err == nil {
+			err = cerr
+		}
 		return err
 	})
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -198,16 +200,23 @@ func (e *Engine) enqueueJobLocked(id AnnotationID, kind ingest.Kind, priority in
 }
 
 // enqueueAffectedLocked is the change-data-capture conversion: map the
-// captured row mutations to seed tuples (the changed rows plus, for
-// inserts, the rows the new row references by FK — the new row has no ACG
-// node yet, but its FK targets anchor it to the graph), then re-queue every
-// annotation attached within CDCHops of a seed. A full queue drops the
-// re-discovery (counted; freshness degrades, correctness doesn't — the
-// next mutation or an operator flush re-queues it) rather than failing the
-// mutation that triggered it.
+// captured row mutations to seed tuples and re-queue the annotations whose
+// discoveries the change can move. Two rules decide the radius:
+//   - an inert update (see inertUpdate) rewrites a cell no keyword query
+//     reads, so it seeds its own row at radius 0: only the annotations
+//     attached to that row re-queue;
+//   - every other mutation seeds the changed row (plus, for inserts, the
+//     rows the new row references by FK — the new row has no ACG node
+//     yet, but its FK targets anchor it to the graph) and re-queues every
+//     annotation attached within CDCHops of a seed.
+//
+// A full queue drops the re-discovery (counted; freshness degrades,
+// correctness doesn't — the next mutation or an operator flush re-queues
+// it) rather than failing the mutation that triggered it.
 func (e *Engine) enqueueAffectedLocked(changed []relational.RowMutation) (int, error) {
 	seen := make(map[TupleID]struct{}, len(changed))
 	seeds := make([]TupleID, 0, len(changed))
+	var own []TupleID // the rows of inert updates, seeded at radius 0
 	add := func(id TupleID) {
 		if _, dup := seen[id]; !dup {
 			seen[id] = struct{}{}
@@ -215,6 +224,10 @@ func (e *Engine) enqueueAffectedLocked(changed []relational.RowMutation) (int, e
 		}
 	}
 	for _, m := range changed {
+		if e.inertUpdate(m) {
+			own = append(own, TupleID{Table: m.Table, Key: m.Key})
+			continue
+		}
 		add(TupleID{Table: m.Table, Key: m.Key})
 		if m.Kind == relational.RowInsert {
 			if row, ok := e.db.Lookup(TupleID{Table: m.Table, Key: m.Key}); ok {
@@ -225,6 +238,11 @@ func (e *Engine) enqueueAffectedLocked(changed []relational.RowMutation) (int, e
 		}
 	}
 	affected := e.graph.AffectedAnnotations(seeds, e.ingest.cdcHops)
+	if len(own) > 0 {
+		affected = append(affected, e.graph.AffectedAnnotations(own, 0)...)
+		slices.Sort(affected)
+		affected = slices.Compact(affected)
+	}
 	for _, id := range affected {
 		if _, err := e.enqueueJobLocked(id, ingest.KindRediscover, 0); err != nil {
 			if errors.Is(err, ErrIngestQueueFull) {
@@ -234,6 +252,41 @@ func (e *Engine) enqueueAffectedLocked(changed []relational.RowMutation) (int, e
 		}
 	}
 	return len(affected), nil
+}
+
+// inertUpdate reports whether m is a cell update that no keyword query of
+// the engine's search technique can read. The metadata technique puts only
+// NebulaMeta's target columns in a predicate (the sigmap Value-Map, the
+// matcher's value targets and alternateValueOptions all draw from
+// TargetColumns), follows joins and related rows over PK/FK columns only,
+// reads the focal by tuple ID, and ranks from confidences and the ACG, so
+// rewriting any other column moves no discovery. The symbol-table
+// technique indexes every column and an injected searcher is opaque: under
+// either, no update is inert.
+func (e *Engine) inertUpdate(m relational.RowMutation) bool {
+	if m.Kind != relational.RowUpdate || e.opts.SearcherFactory != nil ||
+		e.opts.SearchTechnique == TechniqueSymbolTable {
+		return false
+	}
+	t, ok := e.db.Table(m.Table)
+	if !ok {
+		return false
+	}
+	s := t.Schema()
+	if strings.EqualFold(m.Column, s.PrimaryKey) {
+		return false
+	}
+	for _, fk := range s.ForeignKeys {
+		if strings.EqualFold(m.Column, fk.Column) {
+			return false
+		}
+	}
+	for _, col := range e.meta.TargetColumns() {
+		if strings.EqualFold(m.Table, col.Table) && strings.EqualFold(m.Column, col.Column) {
+			return false
+		}
+	}
+	return true
 }
 
 // retractAnnotation applies an OpIngestRetract record: it removes an

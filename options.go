@@ -399,10 +399,15 @@ type IngestConfig struct {
 	// fails with ErrIngestQueueFull (the serving layer's 429 +
 	// Retry-After). 0 selects DefaultIngestQueueCap; negative is invalid.
 	QueueCap int
-	// CDCHops is the K of the change-data-capture query: a mutation
-	// re-queues the annotations attached within K ACG hops of the changed
-	// rows (plus, for inserts, the rows the new row references by FK). 0
-	// selects DefaultIngestCDCHops; negative is invalid.
+	// CDCHops is the K of the change-data-capture query: an insert, a
+	// delete, or an update of a column a keyword query can read (the
+	// primary key, an FK column, or a NebulaMeta target column) re-queues
+	// the annotations attached within K ACG hops of the changed rows (plus,
+	// for inserts, the rows the new row references by FK). An update of
+	// any other column re-queues only the annotations attached to its own
+	// row; under the symbol-table technique or a SearcherFactory every
+	// update counts as readable. 0 selects DefaultIngestCDCHops; negative
+	// is invalid.
 	CDCHops int
 }
 

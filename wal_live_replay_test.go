@@ -87,6 +87,16 @@ func liveEqualsReplay(t *testing.T, shards int) {
 			}
 			return applyMutation(e, mut)
 		}},
+		{"cdc-mutate-readable", func() error {
+			// cdc-mutate rewrites an inert Gene.Length, which re-queues only
+			// its own row's annotations; a Protein.PType update re-queues
+			// the CDCHops neighbourhood.
+			mut, ok := specMutation(specs[0], 1)
+			if !ok || mut.column != "PType" {
+				return fmt.Errorf("spec %s has no Protein focal", specs[0].Ann.ID)
+			}
+			return applyMutation(e, mut)
+		}},
 		{"exec-annotate", func() error {
 			gene := e.DB().MustTable("Gene").Rows()[0]
 			_, err := e.ExecCommand(fmt.Sprintf("ANNOTATE Gene '%s' AS 'sql-note' BODY '%s'",
