@@ -17,8 +17,8 @@ all: build test
 # differential restore suites (the concurrent bulk-load restore against the
 # one-insert-at-a-time reference, repeated under the race detector), the
 # ACG and annotation-store model invariants with their retained-heap
-# budgets per edge, and the planner, ingest, shard and segment identity
-# suites under -race.
+# budgets per edge, and the ingest, shard and segment identity suites
+# under -race.
 # Performance is measured by benchmark/ (see benchmark/README.md), not here.
 check:
 	$(MAKE) fmt-check
@@ -33,7 +33,6 @@ check:
 	$(GO) test -race -run 'WAL' ./internal/wal/ .
 	$(GO) test -race -count=5 -run 'Restore|Load|Snapshot' ./internal/snapshot/ ./internal/relational/ ./internal/annotation/ ./internal/acg/ .
 	$(GO) test -count=3 -run 'Heap|Invariant' ./internal/acg/ ./internal/annotation/
-	$(GO) test -race -run 'Plan|Golden|Estimate' ./internal/discovery/ ./internal/keyword/ ./internal/meta/
 	$(GO) test -race -run 'Ingest|Stream|Queue' ./internal/ingest/ ./internal/server/ .
 	$(GO) test -race -run 'Shard' ./internal/shard/ .
 	$(GO) test -race -run 'Segment|Store|Tiered' ./internal/segment/ ./internal/keyword/ .

@@ -28,7 +28,6 @@ var keyedOptions = map[string]string{
 	"Budget.MaxQueries":      "maxQueries",
 	"Budget.MaxCandidates":   "maxCandidates",
 	"Budget.MaxSearchedRows": "maxSearchedRows",
-	"Plan":                   "plan",
 	"TopK":                   "topK",
 }
 
@@ -221,7 +220,6 @@ func drawOptions(pick func() int) Options {
 	o.Spreading = pick()%2 == 0
 	o.RequireStableACG = pick()%4 == 0
 	o.IncludeRelated = pick()%2 == 0
-	o.Plan = pick()%2 == 0
 	o.SearchTechnique = []string{"", TechniqueMetadata, TechniqueSymbolTable}[pick()%3]
 	o.Parallelism = pick() % 4
 	o.Trace = pick()%2 == 0
@@ -230,7 +228,7 @@ func drawOptions(pick func() int) Options {
 
 // mutateOption changes exactly one keyed option of o, chosen by which.
 func mutateOption(o Options, which int) Options {
-	switch which % 17 {
+	switch which % 16 {
 	case 0:
 		o.Epsilon += 0.125
 	case 1:
@@ -260,10 +258,8 @@ func mutateOption(o Options, which int) Options {
 	case 13:
 		o.Budget.MaxSearchedRows++
 	case 14:
-		o.Plan = !o.Plan
-	case 15:
 		o.TopK++
-	case 16:
+	case 15:
 		o.Epsilon = -o.Epsilon // 0 and -0 print differently
 	}
 	return o

@@ -164,7 +164,7 @@ type discoveryKey struct {
 	alpha, adjustmentHops, k, topK              int
 	maxQueries, maxCandidates, maxSearchedRows  int
 	sharedExecution, focalAdjustment, spreading bool
-	requireStableACG, includeRelated, plan      bool
+	requireStableACG, includeRelated            bool
 	searchTechnique                             string
 }
 
@@ -191,7 +191,6 @@ func newDiscoveryKey(body string, focal []TupleID, opts Options, k, home int) di
 		spreading:         opts.Spreading,
 		requireStableACG:  opts.RequireStableACG,
 		includeRelated:    opts.IncludeRelated,
-		plan:              opts.Plan,
 		searchTechnique:   opts.SearchTechnique,
 	}
 	if !graphDependent(opts) {

@@ -250,7 +250,6 @@ func cmdDiscover(args []string) error {
 	parallelism := fs.Int("parallelism", 0, "worker pool size for keyword execution (0 = NumCPU, 1 = sequential)")
 	cacheFlag := fs.String("cache", "", "result caching: on, off, or a byte budget (default on at 64 MiB)")
 	traceFlag := fs.Bool("trace", false, "record a request-scoped span tree and print it after the run (observe-only)")
-	planFlag := fs.Bool("plan", false, "enable the cost-based planner (requires --topk; top-k output is byte-identical to exhaustive)")
 	topK := fs.Int("topk", 0, "keep only the strongest k attachments (0 = all)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -287,7 +286,6 @@ func cmdDiscover(args []string) error {
 	}
 	opts.Parallelism = *parallelism
 	opts.Trace = *traceFlag
-	opts.Plan = *planFlag
 	opts.TopK = *topK
 	cacheCfg, err := nebula.ParseCacheConfig(*cacheFlag)
 	if err != nil {
@@ -327,15 +325,6 @@ func cmdDiscover(args []string) error {
 		disc.GenStats.QueryGeneration)
 	for _, q := range disc.Queries {
 		fmt.Printf("  %v\n", q)
-	}
-	if ps := disc.ExecStats.Plan; ps != nil && ps.Enabled {
-		fmt.Printf("\nplan: top-%d, %d/%d queries executed, %d pruned (waves=%d frontier=%d completion-scanned=%d)\n",
-			ps.TopK, ps.Executed, ps.Queries, ps.Pruned, ps.Waves, ps.Frontier, ps.CompletionScanned)
-		for _, s := range ps.Skipped {
-			fmt.Printf("  skipped %s\n", s)
-		}
-	} else if ps != nil && ps.Reason != "" {
-		fmt.Printf("\nplan: not eligible (%s)\n", ps.Reason)
 	}
 	fmt.Printf("\nsearched %d tuples (miniDB=%v); %d candidates:\n",
 		disc.ExecStats.SearchedDB, disc.ExecStats.MiniDBUsed, len(disc.Candidates))

@@ -11,17 +11,16 @@
 // Usage:
 //
 //	nebulad [--host 127.0.0.1] [--port 8080] [--size tiny] [--seed 42]
-//	        [--parallelism N] [--cache on|off|bytes] [--plan] [--topk K]
+//	        [--parallelism N] [--cache on|off|bytes] [--topk K]
 //	        [--max-inflight N] [--queue-depth N] [--max-per-conn N]
 //	        [--request-timeout D] [--drain-timeout D] [--snapshot FILE]
 //	        [--wal DIR] [--wal-sync group|always|none] [--slow-request D]
 //	        [--ingest] [--ingest-queue-cap N] [--ingest-hops K]
 //	        [--ingest-drain-every D] [--debug-addr HOST:PORT] [--smoke]
 //
-// --plan enables the cost-based query planner for every discovery the
-// daemon serves (requires --topk K > 0); per-request PLAN ON|OFF and
-// TOPK <k> overrides still apply. The planner's top-k output is
-// byte-identical to the exhaustive run's.
+// --topk K keeps only the strongest K attachments of every discovery the
+// daemon serves: a cut of the full ranking, applied before the candidate
+// budget. A per-request "topk" option or TOPK <k> clause overrides it.
 //
 // --wal DIR arms crash durability: every mutation is appended to a
 // CRC-framed write-ahead log and fsynced (group commit by default) before
@@ -93,7 +92,6 @@ type daemonConfig struct {
 	seed           int64
 	parallelism    int
 	cache          string
-	plan           bool
 	topK           int
 	maxInFlight    int
 	queueDepth     int
@@ -138,8 +136,7 @@ func run(args []string) error {
 	fs.Int64Var(&cfg.seed, "seed", 42, "dataset generator seed")
 	fs.IntVar(&cfg.parallelism, "parallelism", 0, "engine worker pool size (0 = NumCPU, 1 = sequential)")
 	fs.StringVar(&cfg.cache, "cache", "", "result caching: on, off, or a byte budget (default on at 64 MiB)")
-	fs.BoolVar(&cfg.plan, "plan", false, "enable the cost-based query planner for every discovery (requires --topk)")
-	fs.IntVar(&cfg.topK, "topk", 0, "keep only the strongest K attachments per discovery (0 = all; the K the planner maintains)")
+	fs.IntVar(&cfg.topK, "topk", 0, "keep only the strongest K attachments per discovery (0 = all)")
 	fs.IntVar(&cfg.maxInFlight, "max-inflight", 8, "requests executing concurrently (0 = default)")
 	fs.IntVar(&cfg.queueDepth, "queue-depth", 64, "requests waiting for a slot before 429 (0 = default)")
 	fs.IntVar(&cfg.maxPerConn, "max-per-conn", 0, "per-connection in-flight ceiling (0 = none)")
@@ -182,9 +179,6 @@ func run(args []string) error {
 	if cfg.storeMaxSegs > 0 && cfg.storeDir == "" {
 		return errors.New("--store-max-segments requires --store-dir")
 	}
-	if cfg.plan && cfg.topK <= 0 {
-		return errors.New("--plan requires --topk K > 0 (the k the planner's early termination maintains)")
-	}
 	if cfg.smoke {
 		return smoke(cfg)
 	}
@@ -197,7 +191,6 @@ func run(args []string) error {
 func buildEngine(cfg daemonConfig) (*nebula.Engine, func(*nebula.Database) (*nebula.MetaRepository, error), error) {
 	opts := nebula.DefaultOptions()
 	opts.Parallelism = cfg.parallelism
-	opts.Plan = cfg.plan
 	opts.TopK = cfg.topK
 	cacheCfg, err := nebula.ParseCacheConfig(cfg.cache)
 	if err != nil {

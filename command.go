@@ -32,7 +32,7 @@ type CommandResult struct {
 //	ANNOTATE <tbl> '<pk>' AS '<id>' BODY '<text>'
 //	                               insert an annotation attached to a tuple
 //	DISCOVER '<annotation-id>' [TIMEOUT ms] [MAX n] [CACHE ON|OFF|bytes]
-//	                           [TRACE ON|OFF] [PLAN ON|OFF] [TOPK k]
+//	                           [TRACE ON|OFF] [TOPK k]
 //	                               run discovery, report candidates; TIMEOUT
 //	                               bounds the run's wall clock (partial
 //	                               candidates are reported when it fires),
@@ -41,11 +41,10 @@ type CommandResult struct {
 //	                               this run (a byte count resizes the
 //	                               engine's cache budget), TRACE ON
 //	                               appends the run's span tree to the result
-//	                               message (observe-only), PLAN overrides
-//	                               the cost-based planner, and TOPK keeps
+//	                               message (observe-only), and TOPK keeps
 //	                               the strongest k attachments
 //	PROCESS '<annotation-id>' [TIMEOUT ms] [MAX n] [CACHE ON|OFF|bytes]
-//	                          [TRACE ON|OFF] [PLAN ON|OFF] [TOPK k]
+//	                          [TRACE ON|OFF] [TOPK k]
 //	                               run discovery + verification routing under
 //	                               the same governors; an interrupted run
 //	                               submits nothing to verification
@@ -92,9 +91,9 @@ func (e *Engine) execStatement(stmt sqlish.Statement) (*CommandResult, error) {
 	case *sqlish.AnnotateStmt:
 		return e.execAnnotate(s)
 	case *sqlish.DiscoverStmt:
-		return e.execDiscover(s.ID, false, s.TimeoutMillis, s.MaxCandidates, s.Parallel, s.Cache, s.CacheBytes, s.Trace, s.Plan, s.TopK)
+		return e.execDiscover(s.ID, false, s.TimeoutMillis, s.MaxCandidates, s.Parallel, s.Cache, s.CacheBytes, s.Trace, s.TopK)
 	case *sqlish.ProcessStmt:
-		return e.execDiscover(s.ID, true, s.TimeoutMillis, s.MaxCandidates, s.Parallel, s.Cache, s.CacheBytes, s.Trace, s.Plan, s.TopK)
+		return e.execDiscover(s.ID, true, s.TimeoutMillis, s.MaxCandidates, s.Parallel, s.Cache, s.CacheBytes, s.Trace, s.TopK)
 	case *sqlish.SelectStmt:
 		return e.execSelect(s)
 	default:
@@ -145,7 +144,7 @@ func (e *Engine) execAnnotate(s *sqlish.AnnotateStmt) (*CommandResult, error) {
 	return &CommandResult{Message: fmt.Sprintf("annotation %q attached to %s", s.ID, row.ID)}, nil
 }
 
-func (e *Engine) execDiscover(id string, process bool, timeoutMillis int64, maxCandidates, parallel int, cacheMode string, cacheBytes int64, traced bool, planMode string, topK int) (*CommandResult, error) {
+func (e *Engine) execDiscover(id string, process bool, timeoutMillis int64, maxCandidates, parallel int, cacheMode string, cacheBytes int64, traced bool, topK int) (*CommandResult, error) {
 	ctx := context.Background()
 	if timeoutMillis > 0 {
 		var cancel context.CancelFunc
@@ -161,7 +160,7 @@ func (e *Engine) execDiscover(id string, process bool, timeoutMillis int64, maxC
 	}
 	// Per-statement governance rides the same RequestOptions overlay the
 	// serving layer uses; the engine's configuration is never touched.
-	opts := RequestOptions{MaxCandidates: maxCandidates, Parallelism: parallel, Cache: cacheMode, Trace: traced, Plan: planMode, TopK: topK}.apply(e.opts)
+	opts := RequestOptions{MaxCandidates: maxCandidates, Parallelism: parallel, Cache: cacheMode, Trace: traced, TopK: topK}.apply(e.opts)
 	res := &CommandResult{Columns: []string{"tuple", "confidence", "evidence", "routing"}}
 	var (
 		disc    *Discovery

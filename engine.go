@@ -601,7 +601,6 @@ func (e *Engine) discover(ctx context.Context, a *Annotation, focal []TupleID, o
 		MaxCandidates:   opts.Budget.MaxCandidates,
 		MaxWorkers:      resolveWorkers(opts.Parallelism),
 		Retry:           opts.Retry,
-		Plan:            opts.Plan,
 		TopK:            opts.TopK,
 	})
 	disc = &Discovery{

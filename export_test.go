@@ -106,12 +106,12 @@ func refDiscoveryKey(body string, focal []TupleID, opts Options, k, home int) st
 		b.WriteByte(1)
 	}
 	b.WriteByte(0)
-	fmt.Fprintf(&b, "%g|%d|%t|%t|%d|%t|%d|%g|%t|%t|%s|%g|%d|%d|%d|%t|%d",
+	fmt.Fprintf(&b, "%g|%d|%t|%t|%d|%t|%d|%g|%t|%t|%s|%g|%d|%d|%d|%d",
 		opts.Epsilon, opts.Alpha, opts.SharedExecution, opts.FocalAdjustment,
 		opts.AdjustmentHops, opts.Spreading, k, opts.SpreadingCoverage,
 		opts.RequireStableACG, opts.IncludeRelated, opts.SearchTechnique,
 		opts.SpamFraction, opts.Budget.MaxQueries, opts.Budget.MaxCandidates,
-		opts.Budget.MaxSearchedRows, opts.Plan, opts.TopK)
+		opts.Budget.MaxSearchedRows, opts.TopK)
 	if !graphDependent(opts) {
 		return fmt.Sprintf("s%d|%s", home, b.String())
 	}

@@ -35,7 +35,8 @@ var ErrSpamAnnotation = errors.New("discovery: annotation references an implausi
 // candidates the annotation produced against how large a database, so
 // quarantine tooling can log and threshold without re-running discovery.
 type SpamError struct {
-	// Candidates is the number of candidate tuples discovered.
+	// Candidates is the number of candidate tuples discovered, counted
+	// before the TopK and MaxCandidates cuts.
 	Candidates int
 	// DatabaseRows is the total tuple count of the database searched.
 	DatabaseRows int
@@ -101,17 +102,11 @@ type Options struct {
 	// Retry is applied to transient searcher errors (see RetryPolicy).
 	// The zero value disables retries.
 	Retry RetryPolicy
-	// Plan enables the cost-based planner: queries execute in estimated
-	// confidence-per-cost order and stop early once the pending queries
-	// cannot change the top TopK attachments. Requires TopK > 0, shared
-	// execution, and the default search engine; an ineligible request
-	// falls back to the legacy path and records why in Stats.Plan. The
-	// top-k output of a planned run is byte-identical to the exhaustive
-	// run's.
-	Plan bool
-	// TopK, when positive, truncates the final candidate list to the
-	// strongest k attachments (before MaxCandidates). It is also the k
-	// the planner's early termination maintains.
+	// TopK, when positive, truncates the final ranked candidate list to
+	// the strongest k attachments (before MaxCandidates). Every query
+	// still executes; the cut is the caller's requested semantics, not a
+	// degradation, so the k kept are exactly the first k of the uncut
+	// ranking.
 	TopK int
 }
 
@@ -135,10 +130,6 @@ type Stats struct {
 	// routing candidates into verification must treat a non-empty list as
 	// "do not auto-accept".
 	Degraded []string
-	// Plan reports the planner's decisions when planning was requested
-	// (nil otherwise). A pruned run is not degraded — its top-k output is
-	// exact — but Plan.Skipped keeps every skip auditable.
-	Plan *PlanStats
 }
 
 // degrade appends a reason to the run's degradation record.
@@ -245,48 +236,31 @@ func (d *Discoverer) IdentifyRelatedTuplesContext(ctx context.Context, queries [
 	}
 
 	// Step 1 — execute the queries; incorporate each query's weight.
-	// With planning eligible, the planner orders queries by estimated
-	// confidence-per-cost and stops early once the pending queries cannot
-	// change the top-k attachments. Otherwise the legacy path executes
-	// everything, with transient searcher faults retried with capped
-	// backoff. Either way a surviving context error degrades the run to
-	// whatever the partial execution produced.
+	// Transient searcher faults are retried with capped backoff; a
+	// surviving context error degrades the run to whatever the partial
+	// execution produced.
 	lim := keyword.Limits{MaxScannedRows: opts.MaxScannedRows, MaxWorkers: opts.MaxWorkers}
 	var results map[string][]keyword.Result
-	var err error
-	usePlan := false
-	if opts.Plan {
-		reason := planIneligible(opts, d.NewSearcher != nil)
-		stats.Plan = &PlanStats{TopK: opts.TopK, Queries: len(queries), Reason: reason}
-		usePlan = reason == ""
+	espan, ectx := trace.StartSpan(ctx, "execute")
+	retries, err := opts.Retry.do(ctx, func() error {
+		var attemptErr error
+		var st keyword.ExecStats
+		results, st, attemptErr = searcher.ExecuteBatchContext(ectx, queries, opts.Shared, lim)
+		stats.Exec.Add(st)
+		return attemptErr
+	})
+	if espan.Enabled() {
+		espan.AddInt("keyword_queries", len(queries))
+		espan.AddInt("structured_queries", stats.Exec.StructuredQueries)
+		espan.AddInt("tuples_scanned", stats.Exec.TuplesScanned)
+		espan.AddInt("tuples_returned", stats.Exec.TuplesReturned)
+		espan.AddInt("cache_hits", stats.Exec.CacheHits)
+		espan.AddInt("retries", retries)
+		espan.End()
 	}
-	if usePlan {
-		engine := searcher.(*keyword.Engine) // eligibility requires the default engine
-		stats.Plan.Enabled = true
-		results, err = d.planExecute(ctx, engine, queries, focal, opts, lim, &stats, stats.Plan)
-	} else {
-		espan, ectx := trace.StartSpan(ctx, "execute")
-		var retries int
-		retries, err = opts.Retry.do(ctx, func() error {
-			var attemptErr error
-			var st keyword.ExecStats
-			results, st, attemptErr = searcher.ExecuteBatchContext(ectx, queries, opts.Shared, lim)
-			stats.Exec.Add(st)
-			return attemptErr
-		})
-		if espan.Enabled() {
-			espan.AddInt("keyword_queries", len(queries))
-			espan.AddInt("structured_queries", stats.Exec.StructuredQueries)
-			espan.AddInt("tuples_scanned", stats.Exec.TuplesScanned)
-			espan.AddInt("tuples_returned", stats.Exec.TuplesReturned)
-			espan.AddInt("cache_hits", stats.Exec.CacheHits)
-			espan.AddInt("retries", retries)
-			espan.End()
-		}
-		stats.Retries = retries
-		if retries > 0 {
-			stats.degrade(fmt.Sprintf("discovery: %d transient searcher error(s) retried", retries))
-		}
+	stats.Retries = retries
+	if retries > 0 {
+		stats.degrade(fmt.Sprintf("discovery: %d transient searcher error(s) retried", retries))
 	}
 	var execErr error
 	if err != nil {
@@ -386,12 +360,12 @@ func (d *Discoverer) IdentifyRelatedTuplesContext(ctx context.Context, queries [
 		out = append(out, Candidate{Tuple: row, Confidence: conf, Evidence: a.evidence})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Confidence > out[j].Confidence })
+	// The spam guard judges the annotation, not the caller's cut: count
+	// every discovered candidate before TopK and MaxCandidates trim it.
+	discovered := len(out)
 	// Top-k selection is the semantics the caller asked for, not a budget
-	// degradation: with planning on, only the top k are guaranteed exact.
+	// degradation.
 	if opts.TopK > 0 && len(out) > opts.TopK {
-		if stats.Plan != nil {
-			stats.Plan.Truncated = len(out) - opts.TopK
-		}
 		out = out[:opts.TopK]
 	}
 	if opts.MaxCandidates > 0 && len(out) > opts.MaxCandidates {
@@ -407,9 +381,9 @@ func (d *Discoverer) IdentifyRelatedTuplesContext(ctx context.Context, queries [
 	if execErr != nil {
 		return out, stats, execErr
 	}
-	if opts.SpamFraction > 0 && float64(len(out)) > opts.SpamFraction*float64(d.db.TotalRows()) {
+	if opts.SpamFraction > 0 && float64(discovered) > opts.SpamFraction*float64(d.db.TotalRows()) {
 		return out, stats, &SpamError{
-			Candidates:   len(out),
+			Candidates:   discovered,
 			DatabaseRows: d.db.TotalRows(),
 			Fraction:     opts.SpamFraction,
 		}

@@ -3,6 +3,8 @@ package discovery
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"nebula/internal/acg"
@@ -325,6 +327,24 @@ func TestSpamGuard(t *testing.T) {
 	if len(cands) != 15 {
 		t.Errorf("candidates should still be returned for inspection: %d", len(cands))
 	}
+	// The guard judges what discovery found, not what the caller kept: a
+	// cut below the threshold still trips it, reports the uncut count, and
+	// returns the cut list.
+	for _, cut := range []Options{
+		{SpamFraction: 0.5, TopK: 5},
+		{SpamFraction: 0.5, MaxCandidates: 5},
+	} {
+		cands, _, err := d.IdentifyRelatedTuples(qs, nil, cut)
+		if !errors.As(err, &spam) {
+			t.Fatalf("TopK=%d MaxCandidates=%d: expected *SpamError, got %v", cut.TopK, cut.MaxCandidates, err)
+		}
+		if spam.Candidates != 15 {
+			t.Errorf("TopK=%d MaxCandidates=%d: SpamError.Candidates = %d, want the uncut 15", cut.TopK, cut.MaxCandidates, spam.Candidates)
+		}
+		if len(cands) != 5 {
+			t.Errorf("TopK=%d MaxCandidates=%d: returned %d candidates, want the cut 5", cut.TopK, cut.MaxCandidates, len(cands))
+		}
+	}
 	// Guard disabled by default.
 	if _, _, err := d.IdentifyRelatedTuples(qs, nil, Options{}); err != nil {
 		t.Fatalf("disabled guard errored: %v", err)
@@ -332,6 +352,71 @@ func TestSpamGuard(t *testing.T) {
 	// Normal annotations pass.
 	if _, _, err := d.IdentifyRelatedTuples(queries("JW0001"), nil, Options{SpamFraction: 0.5}); err != nil {
 		t.Fatalf("normal annotation flagged: %v", err)
+	}
+}
+
+// renderCands prints each candidate's tuple, exact confidence and
+// evidence, in order.
+func renderCands(cs []Candidate) []string {
+	out := make([]string, len(cs))
+	for i, c := range cs {
+		out[i] = fmt.Sprintf("%s %b %v", c.Tuple.ID, c.Confidence, c.Evidence)
+	}
+	return out
+}
+
+// TestTopKIsPrefixOfFullRanking holds TopK to the uncut run: the k kept
+// are the first k of the full ranking with the same confidences, evidence
+// and order, and the cut never marks the run degraded. With MaxCandidates
+// below k the smaller cut wins, and only the candidate budget degrades.
+func TestTopKIsPrefixOfFullRanking(t *testing.T) {
+	db, repo, g := fixture(t)
+	d := New(db, repo, g)
+	ids := make([]string, 15)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("JW%04d", i)
+	}
+	qs := queries(ids...)
+	focal := []relational.TupleID{gid(2)}
+	for _, base := range []Options{
+		{},
+		{Shared: true},
+		{Shared: true, FocalAdjustment: true},
+		{Shared: true, FocalAdjustment: true, AdjustmentHops: 3},
+	} {
+		full, _, err := d.IdentifyRelatedTuples(qs, focal, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := renderCands(full)
+		for _, k := range []int{1, 3, 10} {
+			opts := base
+			opts.TopK = k
+			got, stats, err := d.IdentifyRelatedTuples(qs, focal, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(renderCands(got), want[:k]) {
+				t.Errorf("%+v: top-%d\n got %v\nwant %v", base, k, renderCands(got), want[:k])
+			}
+			if len(stats.Degraded) != 0 {
+				t.Errorf("%+v: top-%d degraded the run: %v", base, k, stats.Degraded)
+			}
+			if k <= 1 {
+				continue
+			}
+			opts.MaxCandidates = k - 1
+			got, stats, err = d.IdentifyRelatedTuples(qs, focal, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(renderCands(got), want[:k-1]) {
+				t.Errorf("%+v: top-%d max %d\n got %v\nwant %v", base, k, k-1, renderCands(got), want[:k-1])
+			}
+			if len(stats.Degraded) != 1 || !strings.Contains(stats.Degraded[0], "candidate budget") {
+				t.Errorf("%+v: top-%d max %d: degraded %v, want only the candidate budget", base, k, k-1, stats.Degraded)
+			}
+		}
 	}
 }
 

@@ -258,8 +258,7 @@ func (e *Engine) buildConfiguration(q Query, assignment []mappingOption) (Config
 			// operands (OpEq matches case-insensitively, and Key() is the
 			// case-folded canonical form) can never both hold on a tuple, so
 			// the configuration is unsatisfiable: it would scan and always
-			// produce nothing, and — worse — still count toward the planner's
-			// top-k pending upper bound. Drop it from the cross-product.
+			// produce nothing. Drop it from the cross-product.
 			// Token-containment predicates are exempt: one text cell can
 			// contain both tokens.
 			key := strings.ToLower(opt.column)

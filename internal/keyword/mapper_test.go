@@ -12,8 +12,8 @@ import (
 // follow-up): an assignment mapping two keywords with different canonical
 // values onto the same column as equality predicates (Name=x AND Name=y)
 // is unsatisfiable — it can never produce a tuple but used to execute a
-// scan and inflate the planner's pending top-k bound. Such configurations
-// must no longer be enumerated; satisfiable cross-products survive.
+// scan. Such configurations must no longer be enumerated; satisfiable
+// cross-products survive.
 func TestContradictoryConfigurationsDropped(t *testing.T) {
 	_, _, e := fixture(t)
 	// Each hinted value keyword also probes the concept's other referencing

@@ -10,10 +10,13 @@ import (
 // the repository's metadata: table cardinalities, index availability from
 // the schema, the cached distinct-value statistics, and the column samples
 // drawn for the signature-map generator. Estimates are deterministic — they
-// read only catalog state fixed at dataset-build time — so a planner driven
-// by them makes identical decisions at any worker count and with caches on
-// or off. They are also allowed to be wrong: a planner must use them for
-// ordering and budgeting only, never for correctness.
+// read only catalog state fixed at dataset-build time — so a consumer of
+// them decides identically at any worker count and with caches on or off.
+// They are also allowed to be wrong: use them for ordering and budgeting
+// only, never for correctness.
+//
+// Its one caller is the benchmark's meta.estimate_us probe
+// (benchmark/layers.go).
 type Estimator struct {
 	repo *Repository
 }

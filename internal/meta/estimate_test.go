@@ -150,8 +150,8 @@ func TestEstimateSelectUnknownTable(t *testing.T) {
 }
 
 // TestEstimateSelectDeterministic: estimates read only catalog state, so
-// repeated calls agree exactly — the property that keeps planner decisions
-// identical across worker counts and cache states.
+// repeated calls agree exactly, whatever the worker count or cache state
+// of the caller.
 func TestEstimateSelectDeterministic(t *testing.T) {
 	_, est := estimatorFixture(t)
 	q := relational.Query{Table: "Item", Predicates: []relational.Predicate{

@@ -64,7 +64,7 @@ const (
 	// scanFolded probes each cell through the probe's folded-hash table.
 	scanFolded scanMode = iota
 	// scanReference is the pass the kernel replaced — Value.Key() per row
-	// per probed column, Predicate.Matches per residual — kept as the
+	// per probed column, referenceMatches per residual — kept as the
 	// oracle of the differential tests.
 	scanReference
 	// scanCollide is scanFolded with every hash forced to zero, so all
@@ -356,7 +356,7 @@ func (db *Database) selectMultiWorkers(queries []Query, workers int, useCache bo
 
 	// Merge in the fixed sequential order. TuplesScanned is the logical
 	// size of each pass, whatever the kernel skipped per row: the scan
-	// budget and the planner's fold are defined on it.
+	// budget is defined on it.
 	for ti, item := range indexed {
 		results[item.idx] = idxRows[ti]
 		stats.Add(idxStats[ti])

@@ -44,12 +44,6 @@ func (p Predicate) String() string {
 	return fmt.Sprintf("%s %s %q", p.Column, p.Op, p.Operand.Str())
 }
 
-// Matches evaluates the predicate against a row.
-func (p Predicate) Matches(r *Row) bool {
-	c, ok := p.compile(r.schema)
-	return ok && c.matches(r.Values[c.col])
-}
-
 // compiledPredicate is a Predicate resolved against one schema: the column
 // position and, for the text operators, the lowered operand. Scans compile
 // each predicate once and evaluate the compiled form per row.

@@ -110,9 +110,6 @@ type statsJSON struct {
 	ParallelBatches   int  `json:"parallel_batches,omitempty"`
 	Retries           int  `json:"retries,omitempty"`
 	CacheHits         int  `json:"cache_hits,omitempty"`
-	// Plan reports the cost-based planner's decisions when planning was
-	// requested for the run.
-	Plan *nebula.PlanStats `json:"plan,omitempty"`
 }
 
 type taskJSON struct {
@@ -296,7 +293,6 @@ func discoveryToJSON(id string, disc *nebula.Discovery, runErr error) discoverRe
 			ParallelBatches:   disc.ExecStats.Exec.ParallelBatches,
 			Retries:           disc.ExecStats.Retries,
 			CacheHits:         disc.ExecStats.Exec.CacheHits,
-			Plan:              disc.ExecStats.Plan,
 		}
 	}
 	switch {
@@ -336,10 +332,10 @@ func classifyRun(err error) runOutcome {
 // observeDiscovery folds one run into the metrics registry.
 func (s *Server) observeDiscovery(disc *nebula.Discovery, err error) {
 	if disc == nil {
-		s.metrics.observeRun(nil, classifyRun(err), nebula.DiscoveryStats{}.Exec, nil)
+		s.metrics.observeRun(nil, classifyRun(err), nebula.DiscoveryStats{}.Exec)
 		return
 	}
-	s.metrics.observeRun(disc.Degraded(), classifyRun(err), disc.ExecStats.Exec, disc.ExecStats.Plan)
+	s.metrics.observeRun(disc.Degraded(), classifyRun(err), disc.ExecStats.Exec)
 }
 
 // ---- handlers --------------------------------------------------------------

@@ -86,12 +86,6 @@ type metrics struct {
 	tuplesScanned   int64
 	cacheHits       int64
 
-	planRuns        int64
-	planPrunedQs    int64
-	planExecutedQs  int64
-	planWaves       int64
-	planInterrupted int64
-
 	snapshotSaves int64
 	snapshotLoads int64
 }
@@ -170,7 +164,7 @@ func (m *metrics) observeAdmission(depth int) {
 // observeRun folds one discovery/process outcome into the run counters:
 // degraded-but-complete runs, budget-interrupted runs, and cancellations
 // stay distinguishable from clean successes.
-func (m *metrics) observeRun(degraded []string, outcome runOutcome, stats keyword.ExecStats, plan *nebula.PlanStats) {
+func (m *metrics) observeRun(degraded []string, outcome runOutcome, stats keyword.ExecStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(degraded) > 0 {
@@ -192,15 +186,6 @@ func (m *metrics) observeRun(degraded []string, outcome runOutcome, stats keywor
 	m.sharedQs += int64(stats.SharedQueries)
 	m.tuplesScanned += int64(stats.TuplesScanned)
 	m.cacheHits += int64(stats.CacheHits)
-	if plan != nil && plan.Enabled {
-		m.planRuns++
-		m.planPrunedQs += int64(plan.Pruned)
-		m.planExecutedQs += int64(plan.Executed)
-		m.planWaves += int64(plan.Waves)
-		if plan.Interrupted {
-			m.planInterrupted++
-		}
-	}
 }
 
 func (m *metrics) observePanic() {
@@ -261,12 +246,6 @@ func (m *metrics) render(w io.Writer, queued, inflight int, draining bool) {
 	fmt.Fprintf(w, "# TYPE nebula_exec_shared_queries_total counter\nnebula_exec_shared_queries_total %d\n", m.sharedQs)
 	fmt.Fprintf(w, "# TYPE nebula_exec_tuples_scanned_total counter\nnebula_exec_tuples_scanned_total %d\n", m.tuplesScanned)
 	fmt.Fprintf(w, "# TYPE nebula_exec_cache_hits_total counter\nnebula_exec_cache_hits_total %d\n", m.cacheHits)
-
-	fmt.Fprintf(w, "# TYPE nebula_plan_runs_total counter\nnebula_plan_runs_total %d\n", m.planRuns)
-	fmt.Fprintf(w, "# TYPE nebula_plan_pruned_queries_total counter\nnebula_plan_pruned_queries_total %d\n", m.planPrunedQs)
-	fmt.Fprintf(w, "# TYPE nebula_plan_executed_queries_total counter\nnebula_plan_executed_queries_total %d\n", m.planExecutedQs)
-	fmt.Fprintf(w, "# TYPE nebula_plan_waves_total counter\nnebula_plan_waves_total %d\n", m.planWaves)
-	fmt.Fprintf(w, "# TYPE nebula_plan_interrupted_total counter\nnebula_plan_interrupted_total %d\n", m.planInterrupted)
 
 	fmt.Fprintf(w, "# TYPE nebula_snapshot_saves_total counter\nnebula_snapshot_saves_total %d\n", m.snapshotSaves)
 	fmt.Fprintf(w, "# TYPE nebula_snapshot_loads_total counter\nnebula_snapshot_loads_total %d\n", m.snapshotLoads)

@@ -157,7 +157,7 @@ func TestResponsesDecodeAsBefore(t *testing.T) {
 	do("POST", "/v1/discover", map[string]any{"id": "a1"})
 	do("POST", "/v1/discover", map[string]any{"id": "a1", "options": map[string]any{"trace": true}})
 	do("POST", "/v1/discover", map[string]any{"id": "a1", "options": map[string]any{"max_candidates": 1, "max_queries": 1}})
-	do("POST", "/v1/discover", map[string]any{"id": "a1", "options": map[string]any{"plan": "on", "topk": 2}})
+	do("POST", "/v1/discover", map[string]any{"id": "a1", "options": map[string]any{"topk": 2}})
 	do("POST", "/v1/discover", map[string]any{"id": "nope"})
 	do("POST", "/v1/discover", map[string]any{"id": "a1", "options": map[string]any{"cache": "sometimes"}})
 	do("POST", "/v1/discover/naive", map[string]any{"id": "a1"})

@@ -248,6 +248,12 @@ func TestInvalidRequestOptionsRejected(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Fatalf("negative deadline: status %d, want 400", status)
 	}
+	status, _ = f.post(t, "/v1/discover", map[string]any{
+		"id": id, "options": map[string]any{"plan": "on"},
+	})
+	if status != http.StatusBadRequest {
+		t.Fatalf("removed plan option: status %d, want 400", status)
+	}
 }
 
 func TestBatchDiscoverMixedResults(t *testing.T) {

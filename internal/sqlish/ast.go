@@ -31,18 +31,16 @@ type AnnotateStmt struct {
 }
 
 // DiscoverStmt is `DISCOVER '<annotation-id>' [TIMEOUT <ms>] [MAX <n>]
-// [PARALLEL <workers>] [CACHE ON|OFF|<bytes>]`: run Stages 1–2 and report
-// the candidates without routing them. TIMEOUT bounds the run's wall clock
-// in milliseconds; MAX keeps only the n strongest candidates; PARALLEL
+// [PARALLEL <workers>] [CACHE ON|OFF|<bytes>] [TRACE ON|OFF] [TOPK <k>]`:
+// run Stages 1–2 and report the candidates without routing them. TIMEOUT
+// bounds the run's wall clock in milliseconds; MAX keeps only the n strongest candidates; PARALLEL
 // sizes the worker pool for this statement (1 = sequential). Zero means no
 // bound / the engine's configured parallelism. CACHE ON/OFF overrides the
 // engine's result caching for this one run; CACHE <bytes> resizes the
 // engine's overall cache budget before the run. TRACE ON records a
 // request-scoped span tree and appends it to the result (observe-only —
-// candidates are identical either way). PLAN ON|OFF overrides the
-// cost-based planner for this one run, and TOPK <k> keeps only the
-// strongest k attachments (the k the planner's early termination
-// maintains).
+// candidates are identical either way). TOPK <k> keeps only the
+// strongest k attachments of the full ranking, cut before MAX.
 type DiscoverStmt struct {
 	ID            string
 	TimeoutMillis int64
@@ -54,14 +52,13 @@ type DiscoverStmt struct {
 	CacheBytes int64
 	// Trace records a span tree for this one run (`TRACE ON`).
 	Trace bool
-	// Plan is "", "on", or "off" — the per-request planner override.
-	Plan string
 	// TopK, when positive, keeps the strongest k attachments (`TOPK <k>`).
 	TopK int
 }
 
 // ProcessStmt is `PROCESS '<annotation-id>' [TIMEOUT <ms>] [MAX <n>]
-// [PARALLEL <workers>] [CACHE ON|OFF|<bytes>]`: run the full pipeline
+// [PARALLEL <workers>] [CACHE ON|OFF|<bytes>] [TRACE ON|OFF] [TOPK <k>]`:
+// run the full pipeline
 // including verification routing, under the same optional governors as
 // DiscoverStmt.
 type ProcessStmt struct {
@@ -72,7 +69,6 @@ type ProcessStmt struct {
 	Cache         string
 	CacheBytes    int64
 	Trace         bool
-	Plan          string
 	TopK          int
 }
 

@@ -129,7 +129,7 @@ func (p *parser) statement() (Statement, error) {
 			return nil, err
 		}
 		stmt := &DiscoverStmt{ID: id}
-		if err := p.governors(&stmt.TimeoutMillis, &stmt.MaxCandidates, &stmt.Parallel, &stmt.Cache, &stmt.CacheBytes, &stmt.Trace, &stmt.Plan, &stmt.TopK); err != nil {
+		if err := p.governors(&stmt.TimeoutMillis, &stmt.MaxCandidates, &stmt.Parallel, &stmt.Cache, &stmt.CacheBytes, &stmt.Trace, &stmt.TopK); err != nil {
 			return nil, err
 		}
 		return stmt, nil
@@ -139,7 +139,7 @@ func (p *parser) statement() (Statement, error) {
 			return nil, err
 		}
 		stmt := &ProcessStmt{ID: id}
-		if err := p.governors(&stmt.TimeoutMillis, &stmt.MaxCandidates, &stmt.Parallel, &stmt.Cache, &stmt.CacheBytes, &stmt.Trace, &stmt.Plan, &stmt.TopK); err != nil {
+		if err := p.governors(&stmt.TimeoutMillis, &stmt.MaxCandidates, &stmt.Parallel, &stmt.Cache, &stmt.CacheBytes, &stmt.Trace, &stmt.TopK); err != nil {
 			return nil, err
 		}
 		return stmt, nil
@@ -151,9 +151,9 @@ func (p *parser) statement() (Statement, error) {
 }
 
 // governors parses the optional `TIMEOUT <ms>`, `MAX <n>`,
-// `PARALLEL <workers>`, `CACHE ON|OFF|<bytes>`, `TRACE ON|OFF`,
-// `PLAN ON|OFF`, and `TOPK <k>` clauses of DISCOVER/PROCESS, in any order.
-func (p *parser) governors(timeoutMillis *int64, maxCandidates *int, parallel *int, cacheMode *string, cacheBytes *int64, traced *bool, planMode *string, topK *int) error {
+// `PARALLEL <workers>`, `CACHE ON|OFF|<bytes>`, `TRACE ON|OFF`, and
+// `TOPK <k>` clauses of DISCOVER/PROCESS, in any order.
+func (p *parser) governors(timeoutMillis *int64, maxCandidates *int, parallel *int, cacheMode *string, cacheBytes *int64, traced *bool, topK *int) error {
 	for {
 		switch {
 		case p.acceptWord("TIMEOUT"):
@@ -211,14 +211,7 @@ func (p *parser) governors(timeoutMillis *int64, maxCandidates *int, parallel *i
 				return fmt.Errorf("sqlish: expected ON or OFF after TRACE at offset %d", p.peek().pos)
 			}
 		case p.acceptWord("PLAN"):
-			switch {
-			case p.acceptWord("ON"):
-				*planMode = "on"
-			case p.acceptWord("OFF"):
-				*planMode = "off"
-			default:
-				return fmt.Errorf("sqlish: expected ON or OFF after PLAN at offset %d", p.peek().pos)
-			}
+			return fmt.Errorf("sqlish: PLAN was removed with the cost-based planner; use TOPK <k> alone")
 		case p.acceptWord("TOPK"):
 			n, err := p.expectInt()
 			if err != nil {

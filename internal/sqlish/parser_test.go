@@ -2,6 +2,7 @@ package sqlish
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -102,6 +103,19 @@ func TestParseDiscoverGovernors(t *testing.T) {
 	only := parseOK(t, "DISCOVER 'alice' MAX 2").(*DiscoverStmt)
 	if only.TimeoutMillis != 0 || only.MaxCandidates != 2 {
 		t.Fatalf("got %#v", only)
+	}
+	if k := parseOK(t, "DISCOVER 'alice' TOPK 3").(*DiscoverStmt); k.TopK != 3 {
+		t.Fatalf("got %#v", k)
+	}
+	// The cost-based planner is gone; its clause fails naming the removal.
+	for _, removed := range []string{
+		"DISCOVER 'alice' PLAN ON",
+		"DISCOVER 'alice' PLAN OFF",
+		"DISCOVER 'alice' PLAN",
+	} {
+		if _, err := Parse(removed); err == nil || !strings.Contains(err.Error(), "PLAN was removed") {
+			t.Errorf("Parse(%q) = %v, want an error naming the removal", removed, err)
+		}
 	}
 	for _, bad := range []string{
 		"DISCOVER 'alice' TIMEOUT",

@@ -155,8 +155,6 @@ type (
 	Candidate = discovery.Candidate
 	// DiscoveryStats reports Stage 2 cost counters.
 	DiscoveryStats = discovery.Stats
-	// PlanStats reports the cost-based planner's decisions for one run.
-	PlanStats = discovery.PlanStats
 	// TraceNode is one node of a request-scoped trace tree (see
 	// Options.Trace); Discovery.Trace is its root.
 	TraceNode = trace.Node

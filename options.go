@@ -76,13 +76,8 @@ type RequestOptions struct {
 	// Trace attaches a request-scoped span tree to this run (see
 	// Options.Trace). Observe-only: results are byte-identical either way.
 	Trace bool `json:"trace,omitempty"`
-	// Plan controls the cost-based planner for this request: "" keeps the
-	// engine's configured behavior, "on" enables planning (requires a
-	// top-k, from this request or the engine), "off" forces the exhaustive
-	// legacy path.
-	Plan string `json:"plan,omitempty"`
-	// TopK, when positive, keeps only the strongest k attachments and is
-	// the k the planner's early termination maintains.
+	// TopK, when positive, keeps only the strongest k attachments for
+	// this request (see Options.TopK).
 	TopK int `json:"topk,omitempty"`
 }
 
@@ -103,11 +98,6 @@ func (r RequestOptions) Validate() error {
 	case "", "on", "off":
 	default:
 		return fmt.Errorf("nebula: request cache mode %q (want on or off)", r.Cache)
-	}
-	switch r.Plan {
-	case "", "on", "off":
-	default:
-		return fmt.Errorf("nebula: request plan mode %q (want on or off)", r.Plan)
 	}
 	if r.TopK < 0 {
 		return fmt.Errorf("nebula: negative request top-k %d", r.TopK)
@@ -147,12 +137,6 @@ func (r RequestOptions) apply(base Options) Options {
 	}
 	if r.Trace {
 		base.Trace = true
-	}
-	switch r.Plan {
-	case "on":
-		base.Plan = true
-	case "off":
-		base.Plan = false
 	}
 	if r.TopK > 0 {
 		base.TopK = r.TopK
@@ -298,17 +282,11 @@ type Options struct {
 	// with tracing on or off, and when off the pipeline pays zero
 	// allocations for the instrumentation points.
 	Trace bool
-	// Plan enables the cost-based query planner: keyword queries execute
-	// in estimated confidence-per-cost order and stop early once the
-	// pending queries cannot change the top TopK attachments. Requires
-	// TopK > 0, shared execution, and the metadata technique; an
-	// ineligible combination falls back to the exhaustive path and says
-	// why in DiscoveryStats.Plan. The top-k output of a planned run is
-	// byte-identical to the exhaustive run's.
-	Plan bool
 	// TopK, when positive, truncates every discovery's candidates to the
-	// strongest k attachments (applied before Budget.MaxCandidates) and
-	// is the k the planner maintains.
+	// strongest k attachments (applied before Budget.MaxCandidates). It is
+	// a cut of the full ranking, not a pruning of the search: every
+	// keyword query still executes, the k kept are exactly the first k of
+	// the uncut run, and the cut never marks the run degraded.
 	TopK int
 	// Ingest configures the streaming proactive pipeline: the bounded
 	// discovery job queue behind async submissions and change-driven

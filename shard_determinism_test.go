@@ -65,16 +65,16 @@ func renderEngineState(e *nebula.Engine) string {
 }
 
 // shardDetRequests is the request-option matrix the discovery legs sweep:
-// caching on and off, worker parallelism, and the cost-based planner with
-// top-k early termination — every per-request surface whose caches and
-// scheduling could in principle observe the shard count.
+// caching on and off, worker parallelism, and the top-k cut — every
+// per-request surface whose caches and scheduling could in principle
+// observe the shard count.
 func shardDetRequests() []nebula.RequestOptions {
 	return []nebula.RequestOptions{
 		{Cache: "on", Parallelism: 1},
 		{Cache: "off", Parallelism: 1},
 		{Cache: "on", Parallelism: 4},
-		{Cache: "on", Plan: "on", TopK: 3},
-		{Cache: "off", Plan: "on", TopK: 3},
+		{Cache: "on", TopK: 3},
+		{Cache: "off", TopK: 3},
 	}
 }
 
