@@ -15,7 +15,8 @@ all: build test
 # crash-recovery matrix (cut the log at every boundary and interior byte;
 # the recovered engine must match the durable prefix exactly), the
 # differential restore suites (the concurrent bulk-load restore against the
-# one-insert-at-a-time reference, repeated under the race detector), the
+# one-insert-at-a-time reference, repeated under the race detector, beside
+# the scan kernel's hash columns held to every row mutation), the
 # ACG and annotation-store model invariants with their retained-heap
 # budgets per edge, and the ingest, shard and segment identity suites
 # under -race.
@@ -31,7 +32,7 @@ check:
 	$(GO) test -run 'Determinis|Cache|Trace|Unicode' ./internal/cache/ ./internal/keyword/ ./internal/relational/ ./internal/trace/ ./internal/server/ .
 	$(GO) test -count=2 ./cmd/...
 	$(GO) test -race -run 'WAL' ./internal/wal/ .
-	$(GO) test -race -count=5 -run 'Restore|Load|Snapshot' ./internal/snapshot/ ./internal/relational/ ./internal/annotation/ ./internal/acg/ .
+	$(GO) test -race -count=5 -run 'Restore|Load|Snapshot|Folded' ./internal/snapshot/ ./internal/relational/ ./internal/annotation/ ./internal/acg/ .
 	$(GO) test -count=3 -run 'Heap|Invariant' ./internal/acg/ ./internal/annotation/
 	$(GO) test -race -run 'Ingest|Stream|Queue' ./internal/ingest/ ./internal/server/ .
 	$(GO) test -race -run 'Shard' ./internal/shard/ .

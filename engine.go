@@ -728,6 +728,7 @@ func (e *Engine) NaiveDiscoverRequest(ctx context.Context, id AnnotationID, req 
 	focal := e.store.Focal(id)
 	d := discovery.New(e.db, e.meta, e.graph)
 	cands, stats, err := d.NaiveIdentifyContext(ctx, a.Body, focal, discovery.Options{
+		TopK:           opts.TopK,
 		MaxScannedRows: opts.Budget.MaxSearchedRows,
 		MaxCandidates:  opts.Budget.MaxCandidates,
 	})

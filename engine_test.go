@@ -1,6 +1,9 @@
 package nebula_test
 
 import (
+	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"nebula"
@@ -132,6 +135,52 @@ func TestNaiveDiscoverIsNoisier(t *testing.T) {
 	}
 	if naiveDisc.ExecStats.Exec.TuplesScanned < e.DB().TotalRows() {
 		t.Error("naive should scan the whole database")
+	}
+}
+
+// TestNaiveDiscoverHonorsTopK holds the naive baseline to TopK, per
+// request and engine-wide: both keep exactly the first candidate of the
+// uncut naive run.
+func TestNaiveDiscoverHonorsTopK(t *testing.T) {
+	const id = "wl:50:L1-3:0"
+	naive := func(opts nebula.Options, req nebula.RequestOptions) []string {
+		t.Helper()
+		e, ds := engineFixture(t, opts)
+		var spec *workload.AnnotationSpec
+		for _, s := range ds.Workload {
+			if s.Ann.ID == id {
+				spec = s
+			}
+		}
+		if spec == nil {
+			t.Fatalf("workload has no annotation %s", id)
+		}
+		if err := e.AddAnnotation(spec.Ann, spec.Focal(1)); err != nil {
+			t.Fatal(err)
+		}
+		disc, err := e.NaiveDiscoverRequest(context.Background(), id, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, c := range disc.Candidates {
+			out = append(out, fmt.Sprintf("%s %b", c.Tuple.ID, c.Confidence))
+		}
+		return out
+	}
+	full := naive(nebula.DefaultOptions(), nebula.RequestOptions{})
+	if len(full) < 2 {
+		t.Fatalf("uncut naive run found %d candidates; a cut at 1 proves nothing", len(full))
+	}
+	engineWide := nebula.DefaultOptions()
+	engineWide.TopK = 1
+	for name, got := range map[string][]string{
+		"request": naive(nebula.DefaultOptions(), nebula.RequestOptions{TopK: 1}),
+		"engine":  naive(engineWide, nebula.RequestOptions{}),
+	} {
+		if !reflect.DeepEqual(got, full[:1]) {
+			t.Errorf("%s TopK=1: got %d candidates, want only %v", name, len(got), full[0])
+		}
 	}
 }
 

@@ -402,7 +402,8 @@ func (d *Discoverer) NaiveIdentify(body string, focal []relational.TupleID) ([]C
 
 // NaiveIdentifyContext is NaiveIdentify under governance: the baseline's
 // full-database scan — its defining pathology — polls ctx per tuple batch
-// and honors Options.MaxScannedRows/MaxCandidates. Partial results come
+// and honors Options.MaxScannedRows/MaxCandidates. Options.TopK cuts the
+// ranking first, as in IdentifyRelatedTuplesContext. Partial results come
 // back with a typed ErrCancelled/ErrBudgetExceeded on interruption.
 func (d *Discoverer) NaiveIdentifyContext(ctx context.Context, body string, focal []relational.TupleID, opts Options) ([]Candidate, Stats, error) {
 	var stats Stats
@@ -434,6 +435,9 @@ func (d *Discoverer) NaiveIdentifyContext(ctx context.Context, body string, foca
 		out = append(out, Candidate{Tuple: r.Tuple, Confidence: r.Confidence, Evidence: []string{"naive"}})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Confidence > out[j].Confidence })
+	if opts.TopK > 0 && len(out) > opts.TopK {
+		out = out[:opts.TopK]
+	}
 	if opts.MaxCandidates > 0 && len(out) > opts.MaxCandidates {
 		stats.degrade(fmt.Sprintf(
 			"discovery: candidate budget truncated %d candidates to the strongest %d", len(out), opts.MaxCandidates))

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -417,6 +418,46 @@ func TestTopKIsPrefixOfFullRanking(t *testing.T) {
 				t.Errorf("%+v: top-%d max %d: degraded %v, want only the candidate budget", base, k, k-1, stats.Degraded)
 			}
 		}
+	}
+}
+
+// TestNaiveTopKIsPrefixOfFullRanking is TestTopKIsPrefixOfFullRanking for
+// the naive baseline: TopK keeps the first k of the uncut ranking without
+// degrading the run, and a smaller MaxCandidates still wins and degrades.
+func TestNaiveTopKIsPrefixOfFullRanking(t *testing.T) {
+	db, repo, g := fixture(t)
+	d := New(db, repo, g)
+	body := "the gene JW0003 interacts with genA and JW0005, JW0007, JW0011 somehow"
+	focal := []relational.TupleID{gid(3)}
+	full, _, err := d.NaiveIdentifyContext(context.Background(), body, focal, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderCands(full)
+	if len(want) <= 3 {
+		t.Fatalf("the uncut naive run found %d candidates; a cut at 3 proves nothing", len(want))
+	}
+	for _, k := range []int{1, 3} {
+		got, stats, err := d.NaiveIdentifyContext(context.Background(), body, focal, Options{TopK: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(renderCands(got), want[:k]) {
+			t.Errorf("top-%d\n got %v\nwant %v", k, renderCands(got), want[:k])
+		}
+		if len(stats.Degraded) != 0 || stats.Candidates != k {
+			t.Errorf("top-%d: %d candidates, degraded %v", k, stats.Candidates, stats.Degraded)
+		}
+	}
+	got, stats, err := d.NaiveIdentifyContext(context.Background(), body, focal, Options{TopK: 3, MaxCandidates: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(renderCands(got), want[:2]) {
+		t.Errorf("top-3 max 2\n got %v\nwant %v", renderCands(got), want[:2])
+	}
+	if len(stats.Degraded) != 1 || !strings.Contains(stats.Degraded[0], "candidate budget") {
+		t.Errorf("top-3 max 2: degraded %v, want only the candidate budget", stats.Degraded)
 	}
 }
 

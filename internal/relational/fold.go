@@ -40,6 +40,19 @@ func foldHashASCII(s string) (h uint64, ascii bool) {
 	return h, true
 }
 
+// foldCell is the hash a hash column keeps for v: foldHashASCII of a
+// pure-ASCII string cell — the hash probe.seal gives operands — and 0 for
+// any other cell. 0 means "ask byKey": the kernel resolves such a cell
+// through its exact Key(), so the rare ASCII string whose hash is 0 costs a
+// map lookup but never a wrong row.
+func foldCell(v *Value) uint64 {
+	if v.kind != TypeString {
+		return 0
+	}
+	h, _ := foldHashASCII(v.s)
+	return h
+}
+
 func isASCII(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if s[i] >= utf8.RuneSelf {

@@ -10,9 +10,9 @@ import (
 )
 
 // kernelCells are the string cells the differential suites plant: mixed
-// case, the empty string, a cell past the length mask's last bit, and
-// non-ASCII text whose ToLower changes byte length ("İ" → "i", "K" (Kelvin
-// sign) → "k") or does not fold the way ASCII intuition says ("ß", "ſ").
+// case, the empty string, cells of 64 bytes and more, and non-ASCII text
+// whose ToLower changes byte length ("İ" → "i", "K" (Kelvin sign) → "k")
+// or does not fold the way ASCII intuition says ("ß", "ſ").
 var kernelCells = []string{
 	"", "abc", "ABC", "aBc", "abcd", "k", "K", "i", "I", "ss", "SS", "s",
 	"İ", "K", "ß", "ſ", "straße", "STRASSE", "é", "É", "İstanbul", "istanbul",
@@ -21,23 +21,31 @@ var kernelCells = []string{
 	strings.Repeat("é", 32),
 }
 
-// kernelDB holds every cell of cells in an unindexed string column, beside
-// an int and a float column, over enough rows that a parallel pass splits
-// into several segments.
-func kernelDB(t testing.TB, cells []string, rows int) *Database {
-	t.Helper()
-	db := NewDatabase()
-	tbl, err := db.CreateTable(&Schema{
+// kernelSchema is kernelDB's table: two unindexed string columns, which
+// keep hash columns, and a full-text one, an int and a float, which the
+// kernel folds in place.
+func kernelSchema() *Schema {
+	return &Schema{
 		Name: "T",
 		Columns: []Column{
 			{Name: "ID", Type: TypeString, Indexed: true},
 			{Name: "Cell", Type: TypeString},
 			{Name: "Other", Type: TypeString},
+			{Name: "Text", Type: TypeString, FullText: true},
 			{Name: "N", Type: TypeInt},
 			{Name: "F", Type: TypeFloat},
 		},
 		PrimaryKey: "ID",
-	})
+	}
+}
+
+// kernelDB holds every cell of cells in the string columns of kernelSchema,
+// beside an int and a float column, over enough rows that a parallel pass
+// splits into several segments.
+func kernelDB(t testing.TB, cells []string, rows int) *Database {
+	t.Helper()
+	db := NewDatabase()
+	tbl, err := db.CreateTable(kernelSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,6 +54,7 @@ func kernelDB(t testing.TB, cells []string, rows int) *Database {
 			String(fmt.Sprintf("r%05d", i)),
 			String(cells[i%len(cells)]),
 			String(cells[(i/3)%len(cells)]),
+			String(cells[(i/7)%len(cells)]),
 			Int(int64(i % 7)),
 			Float(float64(i%5) / 2),
 		}); err != nil {
@@ -55,15 +64,16 @@ func kernelDB(t testing.TB, cells []string, rows int) *Database {
 	return db
 }
 
-// kernelQueries probes both string columns with every operand, adds int
-// and float probes (one of a kind the column never holds), and residuals
-// of each operator.
+// kernelQueries probes the three string columns with every operand, adds
+// int and float probes (one of a kind the column never holds), and
+// residuals of each operator.
 func kernelQueries(operands []string) []Query {
 	var qs []Query
 	for _, o := range operands {
 		qs = append(qs,
 			Query{Table: "T", Predicates: []Predicate{{Column: "Cell", Op: OpEq, Operand: String(o)}}},
 			Query{Table: "t", Predicates: []Predicate{{Column: "OTHER", Op: OpEq, Operand: String(o)}}},
+			Query{Table: "T", Predicates: []Predicate{{Column: "Text", Op: OpEq, Operand: String(o)}}},
 			Query{Table: "T", Predicates: []Predicate{{Column: "Cell", Op: OpPrefix, Operand: String(o)}}},
 			Query{Table: "T", Predicates: []Predicate{{Column: "cell", Op: OpContainsToken, Operand: String(o)}}},
 			Query{Table: "T", Predicates: []Predicate{
@@ -312,23 +322,30 @@ func TestSharedPassAllocsIndependentOfRows(t *testing.T) {
 	}
 }
 
-// BenchmarkSharedPassProbe measures one 8-query shared pass over an 8k-row
-// ASCII table through the folded-hash kernel and through the reference pass.
+// BenchmarkSharedPassProbe measures one 8-query shared pass through the
+// folded-hash kernel at 1 and 2 workers over tables of the D_mid sizes
+// (4 500 proteins, 7 500 genes, 15 000 publications), and through the
+// reference pass over 8k rows. Two workers against one at each size is
+// what minSegmentRows is weighed on.
 func BenchmarkSharedPassProbe(b *testing.B) {
-	db, qs := asciiScanDB(b, 8192)
-	for _, mode := range []struct {
-		name string
-		mode scanMode
-	}{{"folded", scanFolded}, {"reference", scanReference}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := db.selectMultiWorkers(qs, 1, false, mode.mode); err != nil {
-					b.Fatal(err)
-				}
+	run := func(b *testing.B, rows, workers int, mode scanMode) {
+		db, qs := asciiScanDB(b, rows)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := db.selectMultiWorkers(qs, workers, false, mode); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
 	}
+	for _, rows := range []int{4500, 7500, 15000} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("folded/rows=%d/workers=%d", rows, workers), func(b *testing.B) {
+				run(b, rows, workers, scanFolded)
+			})
+		}
+	}
+	b.Run("reference/rows=8192/workers=1", func(b *testing.B) { run(b, 8192, 1, scanReference) })
 }
 
 // BenchmarkSharedPassSegment times the kernel alone over one segment of

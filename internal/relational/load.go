@@ -24,7 +24,8 @@ type ColumnData struct {
 // or row instead of once per call.
 //
 // On return the rows, the primary-key map and the primary key's hash index
-// are complete. Every other index is filled by one of the returned tasks.
+// are complete. Every other index, and every hash column, is filled by one
+// of the returned tasks.
 // A task walks its column from row 0 up, so list order is insertion order
 // whichever goroutine runs it, and two tasks never touch the same index:
 // the caller may run them concurrently, and must have run them all before
@@ -102,8 +103,21 @@ func LoadTable(s *Schema, cols []ColumnData, n int) (*Table, []func(), error) {
 		if ix := t.inverted[j]; ix != nil {
 			tasks = append(tasks, func() { ix.postings = t.groupByToken(j) })
 		}
+		if t.folded[j] != nil {
+			tasks = append(tasks, func() { t.folded[j] = t.foldColumn(j) })
+		}
 	}
 	return t, tasks, nil
+}
+
+// foldColumn is column j's hash column over the table's rows, filled into
+// the capacity newTable reserved.
+func (t *Table) foldColumn(j int) []uint64 {
+	col := t.folded[j][:0]
+	for _, r := range t.rows {
+		col = append(col, foldCell(&r.Values[j]))
+	}
+	return col
 }
 
 // groupByKey is column j's hash index over the table's rows.

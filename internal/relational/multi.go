@@ -8,13 +8,19 @@ import (
 
 // minSegmentRows is the smallest slice of a shared table pass worth handing
 // to its own worker; below it the scheduling overhead dominates the scan.
-// Re-measured against the folded-hash kernel (BenchmarkSharedPassSegment:
-// ~25 ns/row with every cell hashed, down from ~150 ns/row for Key() per
-// row, so 256 rows shrank from ~38 µs of work to ~7 µs): an 8-query pass at
-// 2 workers over 300/512/1024 rows took 14.6/19.3/35.9 µs cut into 256-row
-// segments against 11.5/15.9/27.2 µs on one worker, and 10.7/16.4/25.8 µs
-// with the floor at 1024, where a segment (~25 µs) again outweighs the
-// 3-8 µs hand-off as it did when 256 was chosen.
+// Re-measured against the hash-column kernel, which costs ~8 ns a row
+// (BenchmarkSharedPassSegment: 1024 rows in ~9 µs, 8192 in ~75 µs, down
+// from ~25 ns a row when every cell was hashed per scan). An 8-query pass
+// (BenchmarkSharedPassProbe, 2 CPUs, medians of 5) at 1 worker against 2
+// workers with the floor at 1024/2048/4096/8192 took: 4 500 rows 59 µs
+// against 61/59/68/63, 7 500 rows ~102 µs against 91/87/95/101, 15 000
+// rows ~193 µs against 163/159/160/158. Cutting a D_mid table in two gains
+// at 7 500 and 15 000 rows and breaks even at 4 500 (2 250-row segments),
+// so the floor must stay below 3 750, and at those sizes it never binds
+// below 2 250. 1024 and 2048 measure the same within noise; the floor
+// stays at 1024 because a 1024-row segment (~9 µs) still covers the
+// 3-8 µs hand-off, and the differential suites' 1 500-row tables split
+// into two segments only under it.
 const minSegmentRows = 1024
 
 // hit records one row matching one query during a shared table pass.
@@ -61,15 +67,17 @@ func (db *Database) SelectMultiUncached(queries []Query, workers int) ([][]*Row,
 type scanMode uint8
 
 const (
-	// scanFolded probes each cell through the probe's folded-hash table.
+	// scanFolded probes each cell's folded hash — read from the table's
+	// hash column, or folded in place where it keeps none — through the
+	// probe's folded-hash table.
 	scanFolded scanMode = iota
 	// scanReference is the pass the kernel replaced — Value.Key() per row
 	// per probed column, referenceMatches per residual — kept as the
 	// oracle of the differential tests.
 	scanReference
-	// scanCollide is scanFolded with every hash forced to zero, so all
-	// operands of a probe collide: the tests' proof that the fold-compare,
-	// not the hash, decides a match.
+	// scanCollide is scanFolded with every operand and cell hash masked to
+	// zero, so all operands of a probe collide: the tests' proof that the
+	// fold-compare, not the hash, decides a match.
 	scanCollide
 )
 
@@ -77,19 +85,18 @@ const (
 // table: a row's cell is matched against all their operands at once.
 //
 // byKey is exact for every cell: operand Value.Key() -> query indexes in
-// batch order. The kernel reaches it directly only for cells Key() has to
-// be computed for — non-string kinds and strings holding a non-ASCII byte.
-// A pure-ASCII cell can only equal an operand whose lowered key is pure
-// ASCII too; those operands also sit in ops, found through slots (open
-// addressing on the cell's case-folded hash) and confirmed by comparing
-// the cell, folded in place, with the operand's lowered key.
+// batch order. The kernel reaches it directly only for cells whose hash is
+// 0 — non-string kinds and strings holding a non-ASCII byte. A pure-ASCII
+// cell can only equal an operand whose lowered key is pure ASCII too; those
+// operands also sit in ops, found through slots (open addressing on the
+// cell's case-folded hash) and confirmed by comparing the cell, folded in
+// place, with the operand's lowered key.
 type probe struct {
 	colIdx int
 	byKey  map[string][]int
 
 	ops      []probeOperand
 	slots    []int32 // 1-based index into ops; 0 = empty; len is a power of two
-	lenMask  uint64  // bit min(len, 63) set for every length in ops
 	hashMask uint64  // ^0, or 0 under scanCollide
 }
 
@@ -97,13 +104,6 @@ type probeOperand struct {
 	hash    uint64
 	lower   string // the operand's Key() without its kind prefix
 	queries []int  // byKey's slice for this key
-}
-
-func lenBit(n int) uint64 {
-	if n > 63 {
-		n = 63
-	}
-	return 1 << uint(n)
 }
 
 func (p *probe) add(operand Value, qi int) {
@@ -129,10 +129,11 @@ func (p *probe) seal(mode scanMode) {
 			continue
 		}
 		p.ops = append(p.ops, probeOperand{hash: h & p.hashMask, lower: lower, queries: p.byKey[k]})
-		p.lenMask |= lenBit(len(lower))
 	}
+	// At least four slots per operand: most cells meet no operand, and at
+	// this load most of them stop on an empty slot at the first probe.
 	size := 2
-	for size < 2*len(p.ops) {
+	for size < 4*len(p.ops) {
 		size *= 2
 	}
 	p.slots = make([]int32, size)
@@ -145,31 +146,42 @@ func (p *probe) seal(mode scanMode) {
 	}
 }
 
-// lookup returns the indexes of the queries whose operand equals the cell,
-// exactly as byKey[v.Key()] would.
-func (p *probe) lookup(v *Value) []int {
-	if s := v.s; v.kind == TypeString {
-		if p.lenMask&lenBit(len(s)) == 0 {
-			// No ASCII operand of this length; only a non-ASCII cell can
-			// still lower to a key of another length.
-			if isASCII(s) {
-				return nil
-			}
-		} else if h, ascii := foldHashASCII(s); ascii {
+// scan matches the cells of rows[lo:hi] against every operand, appending
+// to hits in row order. Where t keeps the column's hash column the kernel
+// walks it and touches a row only when its hash meets an operand's or is
+// 0; any other column (int, float, indexed or full-text) has each cell
+// folded in place to the same hash, through the same loop.
+func (p *probe) scan(t *Table, lo, hi int, hits []hit) []hit {
+	rows := t.rows[lo:hi]
+	col := t.folded[p.colIdx]
+	if col != nil {
+		col = col[lo:hi]
+	}
+	mask := uint64(len(p.slots) - 1)
+	for i := range rows {
+		var h uint64
+		if col != nil {
+			h = col[i]
+		} else {
+			h = foldCell(&rows[i].Values[p.colIdx])
+		}
+		var qs []int
+		if h == 0 {
+			qs = p.byKey[rows[i].Values[p.colIdx].Key()]
+		} else {
 			h &= p.hashMask
-			mask := uint64(len(p.slots) - 1)
-			for i := h & mask; ; i = (i + 1) & mask {
-				oi := p.slots[i]
-				if oi == 0 {
-					return nil
-				}
-				if op := &p.ops[oi-1]; op.hash == h && foldEqualASCII(s, op.lower) {
-					return op.queries
+			for j := h & mask; p.slots[j] != 0; j = (j + 1) & mask {
+				if op := &p.ops[p.slots[j]-1]; op.hash == h && foldEqualASCII(rows[i].Values[p.colIdx].s, op.lower) {
+					qs = op.queries
+					break
 				}
 			}
 		}
+		for _, qi := range qs {
+			hits = append(hits, hit{qi: qi, r: rows[i]})
+		}
 	}
-	return p.byKey[v.Key()]
+	return hits
 }
 
 // residualQuery is a scan query the probes cannot answer (several
@@ -186,7 +198,8 @@ type residualQuery struct {
 // probes, so the per-row cost is O(probed columns), not O(queries);
 // everything else is evaluated per query within the same pass. Column
 // positions, operand keys and lowered operands are all resolved while the
-// pass is set up: the row loop folds no case and looks up no name.
+// pass is set up, and a hash column's cells were folded when they were
+// written: the probe loops fold no stored case and look up no name.
 type tablePass struct {
 	t        *Table
 	probes   []*probe // in first-seen column order
@@ -219,14 +232,18 @@ func (pass *tablePass) add(idx int, q Query) {
 	p.add(q.Predicates[0].Operand, idx)
 }
 
-// scan runs the pass over rows[lo:hi], appending to hits.
+// scan runs the pass over rows[lo:hi], appending to hits: probe by probe,
+// then the residuals row by row. A query belongs to exactly one probe or
+// to the residual list, so each query's hits stay in row order; the merge
+// reads them per query.
 func (pass *tablePass) scan(lo, hi int, hits []hit) []hit {
+	for _, p := range pass.probes {
+		hits = p.scan(pass.t, lo, hi, hits)
+	}
+	if len(pass.residual) == 0 {
+		return hits
+	}
 	for _, r := range pass.t.rows[lo:hi] {
-		for _, p := range pass.probes {
-			for _, qi := range p.lookup(&r.Values[p.colIdx]) {
-				hits = append(hits, hit{qi: qi, r: r})
-			}
-		}
 		for i := range pass.residual {
 			if matchAll(pass.residual[i].preds, r.Values) {
 				hits = append(hits, hit{qi: pass.residual[i].idx, r: r})

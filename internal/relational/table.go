@@ -41,7 +41,12 @@ type Table struct {
 	byPK     map[string]*Row
 	hash     []*hashIndex     // by column position; nil where the column has none
 	inverted []*invertedIndex // by column position; nil where the column has none
-	pkCol    int
+	// folded is the hash column of every string column the scan kernel
+	// reads without an index: foldCell of each cell, in row order, kept
+	// beside rows by every mutation. By column position; nil where the
+	// column keeps none (see keepsFolded). Never persisted.
+	folded [][]uint64
+	pkCol  int
 	// epoch counts mutations (Insert/Delete/Update). Cached query results
 	// are keyed by it, so any change to the stored rows invalidates them.
 	// Atomic so concurrent readers (discoveries under the engine's read
@@ -68,6 +73,7 @@ func newTable(s *Schema, rows int) (*Table, error) {
 		byPK:     make(map[string]*Row, rows),
 		hash:     make([]*hashIndex, len(s.Columns)),
 		inverted: make([]*invertedIndex, len(s.Columns)),
+		folded:   make([][]uint64, len(s.Columns)),
 		pkCol:    pk,
 	}
 	for i, c := range s.Columns {
@@ -77,8 +83,20 @@ func newTable(s *Schema, rows int) (*Table, error) {
 		if c.FullText {
 			t.inverted[i] = newInvertedIndex()
 		}
+		if t.keepsFolded(i) {
+			t.folded[i] = make([]uint64, 0, rows)
+		}
 	}
 	return t, nil
+}
+
+// keepsFolded reports whether column i keeps a hash column: a string
+// column with neither a hash nor a full-text index. An indexed column's
+// equality queries never reach a scan, and a full-text column holds prose
+// that equality probes rarely meet, so neither pays 8 bytes a row for one;
+// the kernel folds their cells in place.
+func (t *Table) keepsFolded(i int) bool {
+	return t.schema.Columns[i].Type == TypeString && t.hash[i] == nil && t.inverted[i] == nil
 }
 
 // Schema returns the table definition.
@@ -148,7 +166,20 @@ func (t *Table) indexRow(row *Row) {
 		if ix := t.inverted[i]; ix != nil {
 			ix.add(v.Str(), row)
 		}
+		if col := t.folded[i]; col != nil {
+			t.folded[i] = append(col, foldCell(&row.Values[i]))
+		}
 	}
+}
+
+// rowPos returns row's position in t.rows.
+func (t *Table) rowPos(row *Row) int {
+	for i, r := range t.rows {
+		if r == row {
+			return i
+		}
+	}
+	return -1
 }
 
 // Delete removes the tuple with the given primary-key value. It reports
@@ -163,10 +194,12 @@ func (t *Table) DeleteByKey(key string) bool {
 		return false
 	}
 	delete(t.byPK, key)
-	for i, r := range t.rows {
-		if r == row {
-			t.rows = append(t.rows[:i:i], t.rows[i+1:]...)
-			break
+	if i := t.rowPos(row); i >= 0 {
+		t.rows = append(t.rows[:i:i], t.rows[i+1:]...)
+		for j, col := range t.folded {
+			if col != nil {
+				t.folded[j] = append(col[:i:i], col[i+1:]...)
+			}
 		}
 	}
 	for i, v := range row.Values {
@@ -228,6 +261,9 @@ func (t *Table) UpdateByKey(key string, column string, value Value) error {
 	copy(values, row.Values)
 	values[ci] = value
 	row.Values = values
+	if col := t.folded[ci]; col != nil {
+		col[t.rowPos(row)] = foldCell(&values[ci])
+	}
 	if ix := t.hash[ci]; ix != nil {
 		ix.add(value, row)
 	}
