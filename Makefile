@@ -7,10 +7,12 @@ GO ?= go
 
 all: build test
 
-# Full pre-merge gate: static checks, build, race-enabled tests, the
+# Full pre-merge gate: static checks (the nested benchmark module included,
+# which `go test ./...` never builds), build, race-enabled tests, the
 # fault-injection / governance smoke suite, the fuzz seed corpora, the
-# parallel-determinism + trace byte-identity suites with the cache-hit
-# allocation budgets (engine and /v1/discover handler), every command run
+# determinism, cache, trace and Unicode suites (parallel determinism, cache
+# on/off and trace byte-identity, the cache-hit allocation budgets of the
+# engine and the /v1/discover handler), every command run
 # twice in one process (state must not leak between runs), the WAL
 # crash-recovery matrix (cut the log at every boundary and interior byte;
 # the recovered engine must match the durable prefix exactly), the
@@ -25,11 +27,12 @@ check:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
 	$(GO) vet ./cmd/...
+	cd benchmark && $(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'Fault|Inject|Governor|Deadline|Cancel|Budget|Degraded|Retry|Panic|Truncat|BitFlip|SaveFile' ./internal/faultinject/ ./internal/snapshot/ .
 	$(GO) test -run Fuzz ./internal/sqlish/ ./internal/snapshot/ ./internal/wal/ ./internal/segment/ ./internal/relational/ ./internal/textutil/ .
-	$(GO) test -run 'Determinis|Cache|Trace|Unicode' ./internal/cache/ ./internal/keyword/ ./internal/relational/ ./internal/trace/ ./internal/server/ .
+	$(GO) test -run 'Determinis|Cache|Trace|Unicode' ./internal/cache/ ./internal/keyword/ ./internal/relational/ ./internal/server/ .
 	$(GO) test -count=2 ./cmd/...
 	$(GO) test -race -run 'WAL' ./internal/wal/ .
 	$(GO) test -race -count=5 -run 'Restore|Load|Snapshot|Folded' ./internal/snapshot/ ./internal/relational/ ./internal/annotation/ ./internal/acg/ .

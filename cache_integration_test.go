@@ -353,7 +353,7 @@ func TestCacheConcurrentDiscoverMutate(t *testing.T) {
 		}
 	}()
 	wg.Add(1)
-	go func() { // raw row churn: table epochs move under the scan cache
+	go func() { // raw row churn: table epochs move under the discovery cache
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			// Tables are not internally synchronized; MutateDB takes the
@@ -392,9 +392,7 @@ func TestCacheStatsAndLimit(t *testing.T) {
 	if err := e.SetCacheLimit(9_999_999); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.CacheStats().Scan.MaxBytes; got != 3_333_333 {
-		t.Errorf("scan layer budget after resize = %d, want a third of the total", got)
-	}
+	assertOneCacheLayer(t, e.CacheStats(), 9_999_999)
 	if got := e.Options().Cache.MaxBytes; got != 9_999_999 {
 		t.Errorf("Options().Cache.MaxBytes = %d after SetCacheLimit", got)
 	}
@@ -411,6 +409,18 @@ func TestCacheStatsAndLimit(t *testing.T) {
 	}
 	if cs := off.CacheStats(); cs.Enabled {
 		t.Errorf("disabled engine reports Enabled=true: %+v", cs)
+	}
+}
+
+// assertOneCacheLayer checks that the discovery cache holds the whole
+// budget and that the fields of the deleted lower layers read zero.
+func assertOneCacheLayer(t *testing.T, cs nebula.CacheStats, budget int64) {
+	t.Helper()
+	if cs.Discovery.MaxBytes != budget {
+		t.Errorf("discovery cache budget = %d, want the whole %d", cs.Discovery.MaxBytes, budget)
+	}
+	if zero := (nebula.CacheCounters{}); cs.Scan != zero || cs.Query != zero || cs.Mapping != zero {
+		t.Errorf("deleted layers report counters: scan %+v query %+v mapping %+v", cs.Scan, cs.Query, cs.Mapping)
 	}
 }
 
@@ -473,9 +483,7 @@ func TestCacheGovernorCommand(t *testing.T) {
 	if _, err := e.ExecCommand(fmt.Sprintf("DISCOVER '%s' CACHE 4194304", id)); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.CacheStats().Scan.MaxBytes; got != 4194304/3 {
-		t.Errorf("CACHE 4194304 left the scan layer at %d bytes, want %d", got, 4194304/3)
-	}
+	assertOneCacheLayer(t, e.CacheStats(), 4194304)
 
 	for _, bad := range []string{
 		fmt.Sprintf("DISCOVER '%s' CACHE", id),

@@ -16,24 +16,24 @@ import (
 // CacheCounters re-exports one cache layer's counter snapshot.
 type CacheCounters = cache.Stats
 
-// CacheStats reports the engine's result caches, one entry per layer:
-// the relational scan cache, the keyword structured-query cache, the
-// mapper memoization, and the whole-pipeline discovery cache.
+// CacheStats reports the engine's result cache: the whole-pipeline
+// discovery cache, the one layer the engine keeps.
 type CacheStats struct {
 	// Enabled reports whether the engine was built with caching on.
 	Enabled bool `json:"enabled"`
-	// Scan is the relational full-scan result cache.
-	Scan CacheCounters `json:"scan"`
-	// Query is the keyword structured-query result cache.
-	Query CacheCounters `json:"query"`
-	// Mapping is the keyword→schema-element weight memoization.
+	// Scan, Query and Mapping named the relational scan memo, the keyword
+	// structured-query cache and the mapper memo, which are gone. They
+	// always read zero; they stay until the benchmark's
+	// cache.lower_hit_share probe, which reads them, is dropped.
+	Scan    CacheCounters `json:"scan"`
+	Query   CacheCounters `json:"query"`
 	Mapping CacheCounters `json:"mapping"`
 	// Discovery is the whole-pipeline discovery cache.
 	Discovery CacheCounters `json:"discovery"`
 }
 
-// Totals sums the four layers (hit rates over Totals describe the stack
-// as a whole; MaxBytes sums to the configured overall budget).
+// Totals sums the layers; with one layer left it equals Discovery, and
+// MaxBytes is the configured budget.
 func (s CacheStats) Totals() CacheCounters {
 	var t CacheCounters
 	t.Add(s.Scan)
@@ -46,18 +46,14 @@ func (s CacheStats) Totals() CacheCounters {
 // CacheStats returns a snapshot of the engine's cache counters. Safe for
 // concurrent use; the caches synchronize internally.
 func (e *Engine) CacheStats() CacheStats {
-	s := CacheStats{Enabled: e.discCache != nil}
-	s.Scan = e.db.ScanCacheStats()
-	s.Query = e.queryCache.ResultStats()
-	s.Mapping = e.queryCache.MappingStats()
-	s.Discovery = e.discCache.Stats()
-	return s
+	return CacheStats{Enabled: e.discCache != nil, Discovery: e.discCache.Stats()}
 }
 
-// SetCacheLimit resizes the total cache budget (split evenly across the
-// layers), evicting as needed. It is the live-resize half of the sqlish
-// `CACHE <bytes>` governor. On an engine built with caching disabled it
-// returns an error rather than silently doing nothing.
+// SetCacheLimit resizes the discovery cache's byte budget, evicting as
+// needed; the discovery cache is the one layer, so it gets all of
+// maxBytes. It is the live-resize half of the sqlish `CACHE <bytes>`
+// governor. On an engine built with caching disabled it returns an error
+// rather than silently doing nothing.
 func (e *Engine) SetCacheLimit(maxBytes int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -71,10 +67,7 @@ func (e *Engine) setCacheLimit(maxBytes int64) error {
 	if e.discCache == nil {
 		return fmt.Errorf("nebula: caching is disabled on this engine")
 	}
-	per := maxBytes / 3
-	e.db.SetScanCacheLimit(per)
-	e.queryCache.SetMaxBytes(per)
-	e.discCache.SetMaxBytes(per)
+	e.discCache.SetMaxBytes(maxBytes)
 	e.opts.Cache.MaxBytes = maxBytes
 	return nil
 }

@@ -103,8 +103,7 @@ type Engine struct {
 	// discCache memoizes whole clean discovery runs under their
 	// discoveryKey (annotation body, focal set, the options that shape the
 	// pipeline). Nil when caching is disabled.
-	queryCache *keyword.QueryCache
-	discCache  *cache.LRU[discoveryKey, *Discovery]
+	discCache *cache.LRU[discoveryKey, *Discovery]
 
 	// wal, when non-nil, is the write-ahead log binding: mutations append
 	// a record under the write lock before applying, and fsync (with
@@ -228,14 +227,10 @@ func newWithState(db *Database, repo *MetaRepository, store *AnnotationStore, gr
 		}
 	}
 	if !opts.Cache.Disabled {
-		// The byte budget splits evenly across the three LRU layers (the
-		// keyword layer further splits its share between results and
-		// mapping memos). Engines are rebuilt on snapshot restore, so a
-		// Load always starts from cold, coherent caches.
-		per := opts.Cache.bytes() / 3
-		db.EnableScanCache(per)
-		e.queryCache = keyword.NewQueryCache(per)
-		e.discCache = cache.NewKeyed[discoveryKey, *Discovery](per)
+		// The discovery cache is the one result cache and takes the whole
+		// byte budget. Engines are rebuilt on snapshot restore, so a Load
+		// always starts from a cold, coherent cache.
+		e.discCache = cache.NewKeyed[discoveryKey, *Discovery](opts.Cache.bytes())
 	}
 	return e, nil
 }
@@ -579,10 +574,6 @@ func (e *Engine) discover(ctx context.Context, a *Annotation, focal []TupleID, o
 
 	d := discovery.New(e.db, e.meta, e.graph)
 	d.IncludeRelated = opts.IncludeRelated
-	d.Uncached = opts.Cache.Disabled || opts.Budget.MaxSearchedRows > 0
-	if !d.Uncached {
-		d.Cache = e.queryCache
-	}
 	switch {
 	case opts.SearcherFactory != nil:
 		d.NewSearcher = opts.SearcherFactory
@@ -898,8 +889,8 @@ func (e *Engine) Quality(ideal IdealEdges) QualityMetrics {
 
 // PropagateQuery runs a structured query and propagates annotations over
 // its results — the passive facility inherited from the underlying engine.
-// It reads only (a select through the scan cache, then store reads), so
-// like DiscoverRequest it runs under the read lock.
+// It reads only (a select, then store reads), so like DiscoverRequest it
+// runs under the read lock.
 func (e *Engine) PropagateQuery(q StructuredQuery, projected []string) ([]PropagatedRow, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

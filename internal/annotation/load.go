@@ -18,7 +18,7 @@ import (
 // The store keeps pointers into anns and atts; the caller hands both over.
 func LoadStore(anns []Annotation, atts []Attachment) (*Store, error) {
 	s := &Store{
-		annotations:  make(map[ID]*Annotation, len(anns)),
+		annotations:  make(map[ID]registered, len(anns)),
 		byAnnotation: make(map[ID][]*Attachment, len(anns)),
 		edgeCount:    len(atts),
 	}
@@ -35,7 +35,7 @@ func LoadStore(anns []Annotation, atts []Attachment) (*Store, error) {
 		if len(position) != i+1 {
 			return nil, fmt.Errorf("annotation %q already exists", a.ID)
 		}
-		s.annotations[a.ID] = a
+		s.annotations[a.ID] = registered{a: a, ord: int32(i)}
 		s.order = append(s.order, a.ID)
 	}
 

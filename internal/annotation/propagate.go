@@ -1,6 +1,8 @@
 package annotation
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 
 	"nebula/internal/relational"
@@ -29,32 +31,55 @@ type PropagatedRow struct {
 // always propagate. Predicted attachments propagate with their estimated
 // confidence so that downstream consumers can display the uncertainty.
 func (s *Store) Propagate(rows []*relational.Row, projected []string) []PropagatedRow {
-	projSet := make(map[string]struct{}, len(projected))
-	for _, c := range projected {
-		projSet[strings.ToLower(c)] = struct{}{}
-	}
+	projSet := projection(projected)
 	out := make([]PropagatedRow, 0, len(rows))
+	var buf []propagated
 	for _, r := range rows {
 		pr := PropagatedRow{Row: r}
-		atts := s.byTuple[r.ID]
-		// Deterministic order: follow the annotation insertion order.
-		for _, id := range s.order {
-			for _, att := range atts {
-				if att.Annotation != id {
-					continue
-				}
-				if att.Column != "" && len(projSet) > 0 {
-					if _, ok := projSet[strings.ToLower(att.Column)]; !ok {
-						continue
-					}
-				}
-				pr.Annotations = append(pr.Annotations, s.annotations[att.Annotation])
-				pr.Confidences = append(pr.Confidences, att.Confidence)
-			}
+		buf = s.rowAnnotations(buf[:0], r.ID, projSet)
+		for _, p := range buf {
+			pr.Annotations = append(pr.Annotations, p.a)
+			pr.Confidences = append(pr.Confidences, p.conf)
 		}
 		out = append(out, pr)
 	}
 	return out
+}
+
+// propagated is one annotation reaching a result row: the annotation, its
+// insertion ordinal, and the confidence of the edge it came through.
+type propagated struct {
+	a    *Annotation
+	ord  int32
+	conf float64
+}
+
+// projection is the lower-cased set of projected columns; empty for
+// SELECT *.
+func projection(projected []string) map[string]struct{} {
+	set := make(map[string]struct{}, len(projected))
+	for _, c := range projected {
+		set[strings.ToLower(c)] = struct{}{}
+	}
+	return set
+}
+
+// rowAnnotations appends the annotations that propagate to tuple under
+// projSet to buf, in annotation-insertion order: the tuple's own edges,
+// sorted stably by their annotation's ordinal. The cost is the tuple's
+// edge count, whatever the size of the store.
+func (s *Store) rowAnnotations(buf []propagated, tuple relational.TupleID, projSet map[string]struct{}) []propagated {
+	for _, att := range s.byTuple[tuple] {
+		if att.Column != "" && len(projSet) > 0 {
+			if _, ok := projSet[strings.ToLower(att.Column)]; !ok {
+				continue
+			}
+		}
+		reg := s.annotations[att.Annotation]
+		buf = append(buf, propagated{a: reg.a, ord: reg.ord, conf: att.Confidence})
+	}
+	slices.SortStableFunc(buf, func(x, y propagated) int { return cmp.Compare(x.ord, y.ord) })
+	return buf
 }
 
 // PropagateQuery runs a structured query against db and propagates
@@ -72,8 +97,9 @@ func (s *Store) PropagateQuery(db *relational.Database, q relational.Query, proj
 type PropagatedJoinRow struct {
 	// Left and Right are the contributing tuples.
 	Left, Right *relational.Row
-	// Annotations propagated from either side, deduplicated, in stable
-	// annotation-insertion order.
+	// Annotations propagated from either side, deduplicated: the left
+	// tuple's annotations in annotation-insertion order, then the right
+	// tuple's annotations that the left one lacks, in the same order.
 	Annotations []*Annotation
 	// Confidences aligns with Annotations; when an annotation reaches the
 	// output row through both sides, the higher edge confidence wins.
@@ -92,28 +118,33 @@ func (s *Store) PropagateJoin(db *relational.Database, left, right relational.Qu
 	if err != nil {
 		return nil, err
 	}
+	leftSet, rightSet := projection(projectedLeft), projection(projectedRight)
 	out := make([]PropagatedJoinRow, 0, len(joined))
+	var lbuf, rbuf []propagated
 	for _, jr := range joined {
-		pl := s.Propagate([]*relational.Row{jr.Left}, projectedLeft)[0]
-		pr := s.Propagate([]*relational.Row{jr.Right}, projectedRight)[0]
+		lbuf = s.rowAnnotations(lbuf[:0], jr.Left.ID, leftSet)
+		rbuf = s.rowAnnotations(rbuf[:0], jr.Right.ID, rightSet)
 		row := PropagatedJoinRow{Left: jr.Left, Right: jr.Right}
-		best := make(map[ID]int)
-		add := func(a *Annotation, conf float64) {
-			if i, ok := best[a.ID]; ok {
-				if conf > row.Confidences[i] {
-					row.Confidences[i] = conf
-				}
-				return
+		for _, p := range lbuf {
+			row.Annotations = append(row.Annotations, p.a)
+			row.Confidences = append(row.Confidences, p.conf)
+		}
+		// Both sides are in ordinal order, so one forward walk of the left
+		// side finds each right annotation it already holds; position i of
+		// lbuf is position i of the row.
+		li := 0
+		for _, p := range rbuf {
+			for li < len(lbuf) && lbuf[li].ord < p.ord {
+				li++
 			}
-			best[a.ID] = len(row.Annotations)
-			row.Annotations = append(row.Annotations, a)
-			row.Confidences = append(row.Confidences, conf)
-		}
-		for i, a := range pl.Annotations {
-			add(a, pl.Confidences[i])
-		}
-		for i, a := range pr.Annotations {
-			add(a, pr.Confidences[i])
+			if li < len(lbuf) && lbuf[li].ord == p.ord {
+				if p.conf > row.Confidences[li] {
+					row.Confidences[li] = p.conf
+				}
+				continue
+			}
+			row.Annotations = append(row.Annotations, p.a)
+			row.Confidences = append(row.Confidences, p.conf)
 		}
 		out = append(out, row)
 	}

@@ -25,7 +25,7 @@ type Store struct {
 	// the single-shard-locked paths (Add/Attach writes vs Get reads).
 	mu sync.RWMutex
 
-	annotations map[ID]*Annotation
+	annotations map[ID]registered
 	order       []ID // insertion order for deterministic iteration
 
 	// byAnnotation lists each annotation's edges in attachment order.
@@ -38,10 +38,18 @@ type Store struct {
 	edgeCount int
 }
 
+// registered is one annotation with its insertion ordinal, its index in
+// Store.order. Annotations are never removed, so the ordinal never moves;
+// propagation sorts a tuple's edges by it.
+type registered struct {
+	a   *Annotation
+	ord int32
+}
+
 // NewStore returns an empty annotation store.
 func NewStore() *Store {
 	return &Store{
-		annotations:  make(map[ID]*Annotation),
+		annotations:  make(map[ID]registered),
 		byAnnotation: make(map[ID][]*Attachment),
 		byTuple:      make(map[relational.TupleID][]*Attachment),
 	}
@@ -57,7 +65,7 @@ func (s *Store) Add(a *Annotation) error {
 	if _, dup := s.annotations[a.ID]; dup {
 		return fmt.Errorf("annotation %q already exists", a.ID)
 	}
-	s.annotations[a.ID] = a
+	s.annotations[a.ID] = registered{a: a, ord: int32(len(s.order))}
 	s.order = append(s.order, a.ID)
 	return nil
 }
@@ -66,8 +74,8 @@ func (s *Store) Add(a *Annotation) error {
 func (s *Store) Get(id ID) (*Annotation, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	a, ok := s.annotations[id]
-	return a, ok
+	reg, ok := s.annotations[id]
+	return reg.a, ok
 }
 
 // Len returns the number of annotations.

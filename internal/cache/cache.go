@@ -1,6 +1,6 @@
-// Package cache provides a small, concurrency-safe, byte-bounded LRU
-// used by Nebula's three result-cache layers (relational scan cache,
-// keyword structured-query cache, engine discovery cache).
+// Package cache provides a small, concurrency-safe, byte-bounded LRU. The
+// engine's discovery cache is its one user, through NewKeyed; New (string
+// keys) serves only the benchmark's cache.get_ns probe.
 //
 // Every entry carries the epoch of the data it was computed from. A Get
 // whose epoch no longer matches the stored one counts as an
@@ -51,11 +51,11 @@ type entry[K comparable, V any] struct {
 
 // LRU is a mutex-guarded least-recently-used cache bounded by an
 // approximate byte budget. Keys are compared with Go's ==, so a hit never
-// rests on a fingerprint not colliding: the scan and query layers key by
-// string, the discovery layer by a struct. The zero value is not usable;
-// construct with New or NewKeyed. A nil *LRU is safe to use: Get always
-// misses (without counting), Put is a no-op, and Stats returns zeros —
-// callers representing "caching disabled" as a nil cache need no branches.
+// rests on a fingerprint not colliding: the discovery cache keys by a
+// struct. The zero value is not usable; construct with New or NewKeyed.
+// A nil *LRU is safe to use: Get always misses (without counting), Put is
+// a no-op, and Stats returns zeros — callers representing "caching
+// disabled" as a nil cache need no branches.
 type LRU[K comparable, V any] struct {
 	mu       sync.Mutex
 	maxBytes int64

@@ -151,14 +151,6 @@ type Discoverer struct {
 	// under spreading — the metadata approach is the natural companion of
 	// the spreading search.
 	NewSearcher func(db *relational.Database) keyword.Searcher
-	// Cache, when non-nil, is attached to the keyword engines this run
-	// builds — but only for searches over the full database. A spreading
-	// miniDB shares fingerprints with the full database while holding a
-	// subset of its rows, so caching its results would poison the keys.
-	Cache *keyword.QueryCache
-	// Uncached disables all result caching for this run's searches (set
-	// under scan budgets and per-request cache opt-out).
-	Uncached bool
 }
 
 // New builds a Discoverer. graph may be nil when neither focal adjustment
@@ -228,10 +220,6 @@ func (d *Discoverer) IdentifyRelatedTuplesContext(ctx context.Context, queries [
 	} else {
 		engine := keyword.NewEngine(searchDB, d.meta)
 		engine.IncludeRelated = d.IncludeRelated
-		engine.Uncached = d.Uncached
-		if searchDB == d.db {
-			engine.Cache = d.Cache
-		}
 		searcher = engine
 	}
 
@@ -254,7 +242,6 @@ func (d *Discoverer) IdentifyRelatedTuplesContext(ctx context.Context, queries [
 		espan.AddInt("structured_queries", stats.Exec.StructuredQueries)
 		espan.AddInt("tuples_scanned", stats.Exec.TuplesScanned)
 		espan.AddInt("tuples_returned", stats.Exec.TuplesReturned)
-		espan.AddInt("cache_hits", stats.Exec.CacheHits)
 		espan.AddInt("retries", retries)
 		espan.End()
 	}

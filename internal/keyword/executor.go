@@ -27,16 +27,6 @@ type Engine struct {
 	IncludeRelated bool
 	// RelatedDiscount is the confidence multiplier for related tuples.
 	RelatedDiscount float64
-	// Cache, when non-nil, memoizes structured-query results and mapper
-	// weights across batches. The discovery layer attaches its shared
-	// QueryCache here — only for searches over the full database, never
-	// for a focal-spreading miniDB.
-	Cache *QueryCache
-	// Uncached disables all result caching for this engine's executions,
-	// including the database's scan cache. Set under scan budgets (budget
-	// truncation points depend on actual scan counts) and per-request
-	// cache opt-out.
-	Uncached bool
 }
 
 // NewEngine builds a keyword search engine over db. The repository supplies
@@ -62,10 +52,10 @@ func (e *Engine) Database() *relational.Database { return e.db }
 // tuples. A tuple satisfying several configurations keeps the highest
 // confidence (the engine's "internal criteria", §6.1).
 func (e *Engine) Execute(q Query) ([]Result, ExecStats, error) {
-	return e.execute(context.Background(), q, !e.Uncached)
+	return e.execute(context.Background(), q)
 }
 
-func (e *Engine) execute(ctx context.Context, q Query, cached bool) ([]Result, ExecStats, error) {
+func (e *Engine) execute(ctx context.Context, q Query) ([]Result, ExecStats, error) {
 	var stats ExecStats
 	configs := e.Configurations(q)
 	// No size hint: most keyword queries produce zero or a handful of
@@ -73,13 +63,12 @@ func (e *Engine) execute(ctx context.Context, q Query, cached bool) ([]Result, E
 	byTuple := make(map[relational.TupleID]int)
 	var out []Result
 	for _, cfg := range configs {
-		rows, st, err := e.dbSelect(ctx, cfg.Structured, cached)
+		rows, st, err := e.db.SelectContext(ctx, cfg.Structured)
 		if err != nil {
 			return nil, stats, fmt.Errorf("execute %s: %w", q.ID, err)
 		}
 		stats.StructuredQueries++
 		stats.TuplesScanned += st.TuplesScanned
-		stats.CacheHits += st.CacheHits
 		if cfg.Join {
 			rows = e.joinProject(rows, cfg.Table)
 		}
@@ -87,63 +76,6 @@ func (e *Engine) execute(ctx context.Context, q Query, cached bool) ([]Result, E
 		out = e.mergeRows(out, byTuple, rows, cfg.Confidence, q.ID)
 	}
 	return out, stats, nil
-}
-
-// dbSelect answers one structured query, going through the query cache
-// when caching is allowed for this execution.
-func (e *Engine) dbSelect(ctx context.Context, q relational.Query, cached bool) ([]*relational.Row, relational.SelectStats, error) {
-	if !cached {
-		return e.db.SelectUncachedContext(ctx, q)
-	}
-	if e.Cache == nil {
-		return e.db.SelectContext(ctx, q)
-	}
-	if rows, ok := e.Cache.getResults(e.db, q); ok {
-		return rows, relational.SelectStats{TuplesReturned: len(rows), CacheHits: 1}, nil
-	}
-	rows, st, err := e.db.SelectContext(ctx, q)
-	if err == nil {
-		e.Cache.putResults(e.db, q, rows)
-	}
-	return rows, st, err
-}
-
-// dbSelectMulti answers a batch of structured queries: cached entries
-// fill their slots directly, the remainder executes through the shared
-// multi-query path, and fresh results populate the cache.
-func (e *Engine) dbSelectMulti(ctx context.Context, batch []relational.Query, workers int, cached bool) ([][]*relational.Row, relational.SelectStats, error) {
-	if !cached {
-		return e.db.SelectMultiUncachedContext(ctx, batch, workers)
-	}
-	if e.Cache == nil {
-		return e.db.SelectMultiWorkersContext(ctx, batch, workers)
-	}
-	sets := make([][]*relational.Row, len(batch))
-	var stats relational.SelectStats
-	var missIdx []int
-	var miss []relational.Query
-	for i, q := range batch {
-		if rows, ok := e.Cache.getResults(e.db, q); ok {
-			sets[i] = rows
-			stats.CacheHits++
-			stats.TuplesReturned += len(rows)
-			continue
-		}
-		missIdx = append(missIdx, i)
-		miss = append(miss, q)
-	}
-	if len(miss) > 0 {
-		msets, st, err := e.db.SelectMultiWorkersContext(ctx, miss, workers)
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Add(st)
-		for j, i := range missIdx {
-			sets[i] = msets[j]
-			e.Cache.putResults(e.db, batch[i], msets[j])
-		}
-	}
-	return sets, stats, nil
 }
 
 // joinProject maps rows across their FK–PK relationships into the target
@@ -227,12 +159,9 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []Query, shared boo
 	gov := governed(ctx, lim)
 	workers := lim.Workers()
 	stats.Workers = workers
-	// A scan budget forces uncached execution: budget truncation points
-	// depend on actual scan counts, and a cache hit scans nothing.
-	cached := !e.Uncached && lim.Unlimited()
 	if !shared {
 		if workers > 1 {
-			return e.executeUnsharedParallel(ctx, qs, lim, gov, workers, cached)
+			return e.executeUnsharedParallel(ctx, qs, lim, gov, workers)
 		}
 		for _, q := range qs {
 			if gov {
@@ -244,7 +173,7 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []Query, shared boo
 					return results, stats, nil
 				}
 			}
-			rs, st, err := e.execute(ctx, q, cached)
+			rs, st, err := e.execute(ctx, q)
 			if err != nil {
 				return results, stats, err
 			}
@@ -295,10 +224,11 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []Query, shared boo
 	}
 
 	// Execute the distinct structured queries: identical queries were
-	// deduplicated above, and SelectMulti shares the physical scans of the
-	// remainder (one pass per table for all scan queries). Ungoverned runs
-	// submit everything in one batch; governed runs chunk the batch so
-	// cancellation and the scan budget are honored mid-execution.
+	// deduplicated above, and SelectMultiWorkers shares the physical scans
+	// of the remainder (one pass per table for all scan queries).
+	// Ungoverned runs submit everything in one batch; governed runs chunk
+	// the batch so cancellation and the scan budget are honored
+	// mid-execution.
 	rowSets := make([][]*relational.Row, len(ordered))
 	executed := len(ordered) // fingerprints actually executed
 	var cancelErr error
@@ -310,14 +240,13 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []Query, shared boo
 			for i, fp := range ordered {
 				batch[i] = structured[fp]
 			}
-			sets, st, err := e.dbSelectMulti(ctx, batch, workers, cached)
+			sets, st, err := e.db.SelectMultiWorkersContext(ctx, batch, workers)
 			if err != nil {
 				return results, stats, fmt.Errorf("shared execute: %w", err)
 			}
 			copy(rowSets, sets)
 			stats.StructuredQueries += len(batch)
 			stats.TuplesScanned += st.TuplesScanned
-			stats.CacheHits += st.CacheHits
 			stats.ParallelBatches++
 		}
 	case workers > 1:
@@ -345,7 +274,7 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []Query, shared boo
 			for i := lo; i < hi; i++ {
 				batch[i-lo] = structured[ordered[i]]
 			}
-			outs[ci].sets, outs[ci].st, outs[ci].err = e.dbSelectMulti(ctx, batch, 1, cached)
+			outs[ci].sets, outs[ci].st, outs[ci].err = e.db.SelectMultiWorkersContext(ctx, batch, 1)
 			outs[ci].done = true
 		}
 		stop := false
@@ -381,7 +310,6 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []Query, shared boo
 				copy(rowSets[lo:lo+len(outs[ci].sets)], outs[ci].sets)
 				stats.StructuredQueries += len(outs[ci].sets)
 				stats.TuplesScanned += outs[ci].st.TuplesScanned
-				stats.CacheHits += outs[ci].st.CacheHits
 			}
 		}
 	default:
@@ -410,14 +338,13 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []Query, shared boo
 			for i := lo; i < hi; i++ {
 				batch[i-lo] = structured[ordered[i]]
 			}
-			sets, st, err := e.dbSelectMulti(ctx, batch, 1, cached)
+			sets, st, err := e.db.SelectMultiWorkersContext(ctx, batch, 1)
 			if err != nil {
 				return results, stats, fmt.Errorf("shared execute: %w", err)
 			}
 			copy(rowSets[lo:hi], sets)
 			stats.StructuredQueries += len(batch)
 			stats.TuplesScanned += st.TuplesScanned
-			stats.CacheHits += st.CacheHits
 		}
 	}
 
@@ -455,7 +382,7 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []Query, shared boo
 // fold step equals the sequential prefix sum, so partial results under a
 // spent budget — and the Degraded reason recording it — are identical to
 // the workers == 1 path.
-func (e *Engine) executeUnsharedParallel(ctx context.Context, qs []Query, lim Limits, gov bool, workers int, cached bool) (map[string][]Result, ExecStats, error) {
+func (e *Engine) executeUnsharedParallel(ctx context.Context, qs []Query, lim Limits, gov bool, workers int) (map[string][]Result, ExecStats, error) {
 	var stats ExecStats
 	stats.Workers = workers
 	results := make(map[string][]Result, len(qs))
@@ -467,7 +394,7 @@ func (e *Engine) executeUnsharedParallel(ctx context.Context, qs []Query, lim Li
 	}
 	outs := make([]qOut, len(qs))
 	run := func(i int) {
-		outs[i].rs, outs[i].st, outs[i].err = e.execute(ctx, qs[i], cached)
+		outs[i].rs, outs[i].st, outs[i].err = e.execute(ctx, qs[i])
 		outs[i].done = true
 	}
 	for waveLo := 0; waveLo < len(qs); waveLo += workers {

@@ -56,9 +56,9 @@ func governed(ctx context.Context, l Limits) bool {
 const scanBatch = 256
 
 // sharedChunk is the number of distinct structured queries a governed
-// shared execution submits per SelectMulti call. Chunking trades a little
-// scan sharing for per-tuple-batch cancellation and budget checks between
-// chunks; ungoverned runs keep the single-call legacy path.
+// shared execution submits per SelectMultiWorkers call. Chunking trades a
+// little scan sharing for per-tuple-batch cancellation and budget checks
+// between chunks; ungoverned runs keep the single-call legacy path.
 const sharedChunk = 16
 
 // degradedScanBudget formats the ExecStats.Degraded reason recorded when

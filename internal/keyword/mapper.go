@@ -85,22 +85,8 @@ func (e *Engine) Configurations(q Query) []Configuration {
 }
 
 // keywordOptions lists candidate interpretations of one keyword, strongest
-// first, capped at MaxMappingsPerKeyword. Derivations are memoized in the
-// attached QueryCache (keyed by the database epoch — value matches consult
-// column domains); callers must not mutate the returned slice.
+// first, capped at MaxMappingsPerKeyword.
 func (e *Engine) keywordOptions(k Keyword) []mappingOption {
-	if e.Cache == nil || e.Uncached {
-		return e.deriveKeywordOptions(k)
-	}
-	if opts, ok := e.Cache.getMappings(e, k); ok {
-		return opts
-	}
-	opts := e.deriveKeywordOptions(k)
-	e.Cache.putMappings(e, k, opts)
-	return opts
-}
-
-func (e *Engine) deriveKeywordOptions(k Keyword) []mappingOption {
 	var opts []mappingOption
 	if k.TargetTable != "" {
 		// Upstream (signature maps) pinned the mapping: it leads, but the

@@ -117,10 +117,10 @@ type ExecStats struct {
 	// parallel path dispatched (0 on the sequential path). Like Workers it
 	// describes scheduling, not results.
 	ParallelBatches int
-	// CacheHits counts structured queries answered from a result cache
-	// (the keyword layer's query cache or the substrate's scan cache)
-	// instead of being executed. Cached queries contribute zero to
-	// TuplesScanned: stats account actual work.
+	// CacheHits counts discovery-cache hits: it is 1 on a discovery the
+	// engine answered from its cache (which scanned nothing, so
+	// TuplesScanned is 0) and 0 on every executed run. Stats account
+	// actual work; the keyword executor itself never sets it.
 	CacheHits int
 	// Degraded lists human-readable reasons the execution deviated from
 	// the full, unbounded run (budget truncations, cancelled scans).

@@ -3,22 +3,16 @@ package relational
 import (
 	"fmt"
 	"strings"
-
-	"nebula/internal/cache"
 )
 
 // Database is a set of tables plus the FK–PK relationship graph between
 // them. Mutations are single-threaded (Nebula's engine serializes them
-// under its write lock); concurrent read-only Selects are safe, and the
-// optional scan cache is internally synchronized.
+// under its write lock); concurrent read-only Selects are safe.
 type Database struct {
 	// tables is keyed by both the declared spelling and the lower-cased
 	// form of each table name; iterate through order, never the map.
 	tables map[string]*Table
 	order  []string // creation order (declared spellings), for deterministic iteration
-	// scanCache, when enabled, memoizes full-scan query results keyed by
-	// the query fingerprint at the owning table's epoch. nil = disabled.
-	scanCache *cache.LRU[string, []*Row]
 	// rowHook observes committed row mutations on every table (current
 	// and future) once installed; see SetRowMutationHook.
 	rowHook func(RowMutation)
@@ -63,8 +57,8 @@ func (db *Database) register(t *Table) {
 
 // SetRowMutationHook installs (or, with nil, removes) an observer for
 // committed row mutations across all tables, including tables created
-// later. The hook runs synchronously inside Insert/Delete/Update; the
-// engine uses it to write-ahead-log raw MutateDB row operations. Callers
+// later. The hook runs synchronously inside Insert/DeleteByKey/UpdateByKey;
+// the engine uses it to write-ahead-log raw MutateDB row operations. Callers
 // must ensure mutations are serialized while a hook is installed (the
 // engine's write lock already does).
 func (db *Database) SetRowMutationHook(hook func(RowMutation)) {
@@ -130,22 +124,6 @@ func (db *Database) ValidateForeignKeys() error {
 	return nil
 }
 
-// EnableScanCache attaches a byte-bounded LRU memoizing full-scan query
-// results. Entries are keyed by (query fingerprint, table epoch), so any
-// Insert/Delete/Update on a table invalidates its cached row sets. Safe
-// to call again to replace (and implicitly clear) the cache.
-func (db *Database) EnableScanCache(maxBytes int64) {
-	db.scanCache = cache.New[[]*Row](maxBytes)
-}
-
-// ScanCacheStats reports the scan cache's counters (zeros when the cache
-// is disabled).
-func (db *Database) ScanCacheStats() cache.Stats { return db.scanCache.Stats() }
-
-// SetScanCacheLimit resizes the scan cache budget, evicting as needed.
-// No-op when the cache is disabled.
-func (db *Database) SetScanCacheLimit(maxBytes int64) { db.scanCache.SetMaxBytes(maxBytes) }
-
 // Epoch sums all table epochs plus the table count, producing a single
 // counter that moves whenever any data in the database changes (row
 // mutations or table creation). Upper layers fold it into their own
@@ -173,18 +151,6 @@ func (db *Database) Lookup(id TupleID) (*Row, bool) {
 // report how many tuples were touched, which the benchmarks use as the
 // machine-independent cost measure.
 func (db *Database) Select(q Query) ([]*Row, SelectStats, error) {
-	return db.selectQuery(q, true)
-}
-
-// SelectUncached executes a structured query bypassing the scan cache
-// (neither consulting nor populating it). The keyword layer uses it when
-// a scan budget is in force — budget truncation points depend on actual
-// scan counts — and for per-request cache opt-out.
-func (db *Database) SelectUncached(q Query) ([]*Row, SelectStats, error) {
-	return db.selectQuery(q, false)
-}
-
-func (db *Database) selectQuery(q Query, useCache bool) ([]*Row, SelectStats, error) {
 	var stats SelectStats
 	t, ok := db.Table(q.Table)
 	if !ok {
@@ -197,22 +163,6 @@ func (db *Database) selectQuery(q Query, useCache bool) ([]*Row, SelectStats, er
 	}
 
 	candidates, drove, usedIndex := db.accessPath(t, q)
-
-	// Only full scans are worth memoizing: indexed accesses are already
-	// near the cost of a cache probe. Stats report actual work done, so a
-	// hit contributes zero scanned tuples.
-	var key string
-	var epoch uint64
-	cacheable := useCache && !usedIndex && db.scanCache != nil
-	if cacheable {
-		key, epoch = q.Fingerprint(), t.Epoch()
-		if rows, ok := db.scanCache.Get(key, epoch); ok {
-			stats.CacheHits = 1
-			stats.TuplesReturned = len(rows)
-			return rows, stats, nil
-		}
-	}
-
 	stats.IndexUsed = usedIndex
 	stats.TuplesScanned = len(candidates)
 
@@ -225,19 +175,7 @@ func (db *Database) selectQuery(q Query, useCache bool) ([]*Row, SelectStats, er
 		}
 	}
 	stats.TuplesReturned = len(out)
-	if cacheable {
-		db.scanCache.Put(key, epoch, out[:len(out):len(out)], scanEntryCost(key, len(out)))
-	}
 	return out, stats, nil
-}
-
-// scanEntryCost approximates the memory held by one scan-cache entry:
-// the key string, row-pointer slice, and bookkeeping overhead. Rows
-// themselves are shared with the table (Update is copy-on-write on
-// row.Values, and every mutation bumps the epoch), so they are not
-// charged.
-func scanEntryCost(key string, rows int) int64 {
-	return int64(len(key)) + 96 + 8*int64(rows)
 }
 
 // accessPath chooses the driving predicate. It returns the candidate rows,
@@ -274,9 +212,7 @@ func (db *Database) accessPath(t *Table, q Query) (rows []*Row, drove int, usedI
 	return t.rows, -1, false
 }
 
-// SelectStats reports the cost of one Select. Stats account actual work:
-// a query answered from the scan cache counts its returned tuples and a
-// cache hit, but zero scanned tuples.
+// SelectStats reports the cost of one Select.
 type SelectStats struct {
 	// TuplesScanned counts candidate tuples examined.
 	TuplesScanned int
@@ -284,8 +220,6 @@ type SelectStats struct {
 	TuplesReturned int
 	// IndexUsed reports whether an index drove the access path.
 	IndexUsed bool
-	// CacheHits counts queries answered from the scan cache.
-	CacheHits int
 }
 
 // Add accumulates another stats record (used when summing query batches).
@@ -293,7 +227,6 @@ func (s *SelectStats) Add(o SelectStats) {
 	s.TuplesScanned += o.TuplesScanned
 	s.TuplesReturned += o.TuplesReturned
 	s.IndexUsed = s.IndexUsed || o.IndexUsed
-	s.CacheHits += o.CacheHits
 }
 
 // Related follows FK–PK edges one hop in both directions from a row: the

@@ -172,10 +172,10 @@ func TestInsertAndLookup(t *testing.T) {
 func TestDelete(t *testing.T) {
 	db := testDB(t)
 	gt := db.MustTable("Gene")
-	if !gt.Delete(String("JW0027")) {
+	if !gt.DeleteByKey(String("JW0027").Key()) {
 		t.Fatal("delete existing failed")
 	}
-	if gt.Delete(String("JW0027")) {
+	if gt.DeleteByKey(String("JW0027").Key()) {
 		t.Fatal("double delete succeeded")
 	}
 	if gt.Len() != 6 {
@@ -332,7 +332,7 @@ func TestSubset(t *testing.T) {
 		t.Error("mini index lookup failed")
 	}
 	// Mutating the mini DB must not affect the original.
-	mg.Delete(String("JW0013"))
+	mg.DeleteByKey(String("JW0013").Key())
 	if _, ok := gt.GetByPK(String("JW0013")); !ok {
 		t.Error("subset deletion leaked to original")
 	}
@@ -400,7 +400,7 @@ func TestUpdate(t *testing.T) {
 	db := testDB(t)
 	gt := db.MustTable("Gene")
 	// Update an indexed column: the index follows.
-	if err := gt.Update(String("JW0013"), "Family", String("F9")); err != nil {
+	if err := gt.UpdateByKey(String("JW0013").Key(), "Family", String("F9")); err != nil {
 		t.Fatal(err)
 	}
 	rows, _ := gt.LookupEqual("Family", String("F9"))
@@ -415,7 +415,7 @@ func TestUpdate(t *testing.T) {
 	}
 	// Update a full-text column: inverted index follows.
 	pt := db.MustTable("Publication")
-	if err := pt.Update(String("PUB1"), "Abstract", String("completely new words here")); err != nil {
+	if err := pt.UpdateByKey(String("PUB1").Key(), "Abstract", String("completely new words here")); err != nil {
 		t.Fatal(err)
 	}
 	if rows := pt.LookupToken("Abstract", "yaaB"); len(rows) != 0 {
@@ -425,20 +425,20 @@ func TestUpdate(t *testing.T) {
 		t.Error("new inverted entry missing")
 	}
 	// No-op update is accepted.
-	if err := gt.Update(String("JW0013"), "Family", String("F9")); err != nil {
+	if err := gt.UpdateByKey(String("JW0013").Key(), "Family", String("F9")); err != nil {
 		t.Fatal(err)
 	}
 	// Errors: missing tuple, missing column, PK update, type mismatch.
-	if err := gt.Update(String("NOPE"), "Family", String("F1")); err == nil {
+	if err := gt.UpdateByKey(String("NOPE").Key(), "Family", String("F1")); err == nil {
 		t.Error("missing tuple accepted")
 	}
-	if err := gt.Update(String("JW0013"), "Nope", String("x")); err == nil {
+	if err := gt.UpdateByKey(String("JW0013").Key(), "Nope", String("x")); err == nil {
 		t.Error("missing column accepted")
 	}
-	if err := gt.Update(String("JW0013"), "GID", String("JW9999")); err == nil {
+	if err := gt.UpdateByKey(String("JW0013").Key(), "GID", String("JW9999")); err == nil {
 		t.Error("PK update accepted")
 	}
-	if err := gt.Update(String("JW0013"), "Length", String("notanint")); err == nil {
+	if err := gt.UpdateByKey(String("JW0013").Key(), "Length", String("notanint")); err == nil {
 		t.Error("type mismatch accepted")
 	}
 }
@@ -451,7 +451,7 @@ func TestUpdateDoesNotLeakIntoSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gt.Update(String("JW0013"), "Family", String("F8")); err != nil {
+	if err := gt.UpdateByKey(String("JW0013").Key(), "Family", String("F8")); err != nil {
 		t.Fatal(err)
 	}
 	mr, _ := mini.MustTable("Gene").GetByPK(String("JW0013"))
@@ -590,7 +590,7 @@ func TestInvertedIndexPostings(t *testing.T) {
 	if got := ids("locus"); got != "[s:d0 s:d1]" {
 		t.Errorf("postings(locus) = %s", got)
 	}
-	if err := tbl.Update(String("d0"), "Body", String("protein protein locus")); err != nil {
+	if err := tbl.UpdateByKey(String("d0").Key(), "Body", String("protein protein locus")); err != nil {
 		t.Fatal(err)
 	}
 	if got := ids("gene"); got != "[s:d1]" {
@@ -602,7 +602,7 @@ func TestInvertedIndexPostings(t *testing.T) {
 	if got := ids("protein"); got != "[s:d2 s:d0]" {
 		t.Errorf("after update postings(protein) = %s", got)
 	}
-	if !tbl.Delete(String("d0")) || ids("protein") != "[s:d2]" || ids("locus") != "[s:d1]" {
+	if !tbl.DeleteByKey(String("d0").Key()) || ids("protein") != "[s:d2]" || ids("locus") != "[s:d1]" {
 		t.Errorf("after delete postings: protein=%s locus=%s", ids("protein"), ids("locus"))
 	}
 }

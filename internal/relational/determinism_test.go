@@ -79,13 +79,13 @@ func detMultiQueries(n int) []Query {
 }
 
 // TestSelectMultiWorkersDeterministic checks that SelectMultiWorkers is
-// byte-identical to SelectMulti — same row slices in the same order, same
-// stats — at every worker count, including counts far beyond the segment
-// supply.
+// byte-identical to its one-worker run — same row slices in the same
+// order, same stats — at every worker count, including counts far beyond
+// the segment supply.
 func TestSelectMultiWorkersDeterministic(t *testing.T) {
 	db := detMultiDB(t, 2000)
 	qs := detMultiQueries(40)
-	baseRows, baseStats, err := db.SelectMulti(qs)
+	baseRows, baseStats, err := db.SelectMultiWorkers(qs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

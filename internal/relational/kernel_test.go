@@ -100,7 +100,7 @@ type scanOutcome struct {
 
 func runScan(t testing.TB, db *Database, qs []Query, workers int, mode scanMode) scanOutcome {
 	t.Helper()
-	sets, stats, err := db.selectMultiWorkers(qs, workers, false, mode)
+	sets, stats, err := db.selectMultiWorkers(qs, workers, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSharedPassLengthChangingFolds(t *testing.T) {
 		{"", []string{""}},
 	} {
 		q := []Query{{Table: "T", Predicates: []Predicate{{Column: "Cell", Op: OpEq, Operand: String(tc.operand)}}}}
-		sets, _, err := db.SelectMultiUncached(q, 1)
+		sets, _, err := db.SelectMultiWorkers(q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestSharedPassAllocsIndependentOfRows(t *testing.T) {
 			qs[i].Predicates[0].Operand = String(qs[i].Predicates[0].Operand.Str() + "x")
 		}
 		return testing.AllocsPerRun(20, func() {
-			if _, _, err := db.SelectMultiUncached(qs, 1); err != nil {
+			if _, _, err := db.SelectMultiWorkers(qs, 1); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -333,7 +333,7 @@ func BenchmarkSharedPassProbe(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := db.selectMultiWorkers(qs, workers, false, mode); err != nil {
+			if _, _, err := db.selectMultiWorkers(qs, workers, mode); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -29,37 +29,33 @@ type hit struct {
 	r  *Row
 }
 
-// SelectMulti executes a batch of queries, sharing table scans: queries
-// against the same table that lack a usable index are all evaluated in a
-// single pass over the table, instead of one scan each. Queries with an
-// index access path execute individually (index lookups are already cheap
-// and share nothing). Results align with the input order.
+// SelectMultiWorkers executes a batch of queries, sharing table scans:
+// queries against the same table that lack a usable index are all
+// evaluated in a single pass over the table, instead of one scan each.
+// Queries with an index access path execute individually (index lookups
+// are already cheap and share nothing). Results align with the input order.
 //
 // This is the substrate-level half of the paper's §6 shared multi-query
 // execution: the keyword executor detects identical structured queries by
-// fingerprint, and SelectMulti shares the physical scans of the distinct
-// remainder.
-func (db *Database) SelectMulti(queries []Query) ([][]*Row, SelectStats, error) {
-	return db.selectMultiWorkers(queries, 1, true, scanFolded)
-}
-
-// SelectMultiWorkers is SelectMulti with a worker pool: the per-table scan
-// groups are split into row segments and partitioned — together with the
-// individual indexed lookups — across up to workers goroutines
-// (workers <= 0 selects runtime.GOMAXPROCS; larger values clamp to
-// GOMAXPROCS, since oversubscribing scan segments only adds scheduling
+// fingerprint, and SelectMultiWorkers shares the physical scans of the
+// distinct remainder.
+//
+// The per-table scan groups are split into row segments and partitioned —
+// together with the individual indexed lookups — across up to workers
+// goroutines (workers <= 0 selects runtime.GOMAXPROCS; larger values clamp
+// to GOMAXPROCS, since oversubscribing scan segments only adds scheduling
 // overhead). Results and stats are merged in the sequential order (indexed
 // queries first, then tables in first-seen order, then row order), so the
-// output is byte-identical to SelectMulti whatever the worker count;
-// workers == 1 runs everything inline on the calling goroutine.
+// output is byte-identical whatever the worker count; workers == 1 runs
+// everything inline on the calling goroutine.
 func (db *Database) SelectMultiWorkers(queries []Query, workers int) ([][]*Row, SelectStats, error) {
-	return db.selectMultiWorkers(queries, workers, true, scanFolded)
+	return db.selectMultiWorkers(queries, workers, scanFolded)
 }
 
-// SelectMultiUncached is SelectMultiWorkers bypassing the scan cache; see
-// SelectUncached for when that matters.
+// SelectMultiUncached is SelectMultiWorkers under the name the benchmark's
+// scan probe calls; it goes when ROADMAP item 11 re-bases that probe.
 func (db *Database) SelectMultiUncached(queries []Query, workers int) ([][]*Row, SelectStats, error) {
-	return db.selectMultiWorkers(queries, workers, false, scanFolded)
+	return db.SelectMultiWorkers(queries, workers)
 }
 
 // scanMode selects the row kernel of the shared passes. Everything outside
@@ -253,7 +249,7 @@ func (pass *tablePass) scan(lo, hi int, hits []hit) []hit {
 	return hits
 }
 
-func (db *Database) selectMultiWorkers(queries []Query, workers int, useCache bool, mode scanMode) ([][]*Row, SelectStats, error) {
+func (db *Database) selectMultiWorkers(queries []Query, workers int, mode scanMode) ([][]*Row, SelectStats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -264,22 +260,14 @@ func (db *Database) selectMultiWorkers(queries []Query, workers int, useCache bo
 	var stats SelectStats
 
 	// Partition (sequential, deterministic): indexed queries run directly;
-	// scan queries group by table, checking the scan cache first — a hit
-	// fills its result slot immediately and drops out of the shared pass.
-	// Validation errors surface here, before any execution, in input order.
+	// scan queries group by table. Validation errors surface here, before
+	// any execution, in input order.
 	type scanItem struct {
 		idx int
 		q   Query
 	}
-	type cacheFill struct {
-		idx   int
-		key   string
-		epoch uint64
-	}
 	var indexed []scanItem
-	var fills []cacheFill // scan-query misses to Put after the merge
 	var passes []*tablePass
-	caching := useCache && db.scanCache != nil
 	for i, q := range queries {
 		t, ok := db.Table(q.Table)
 		if !ok {
@@ -293,16 +281,6 @@ func (db *Database) selectMultiWorkers(queries []Query, workers int, useCache bo
 		if _, _, ok := db.accessPath(t, q); ok {
 			indexed = append(indexed, scanItem{idx: i, q: q})
 			continue
-		}
-		if caching {
-			key, epoch := q.Fingerprint(), t.Epoch()
-			if rows, ok := db.scanCache.Get(key, epoch); ok {
-				results[i] = rows
-				stats.CacheHits++
-				stats.TuplesReturned += len(rows)
-				continue
-			}
-			fills = append(fills, cacheFill{idx: i, key: key, epoch: epoch})
 		}
 		var pass *tablePass
 		for _, have := range passes {
@@ -359,7 +337,7 @@ func (db *Database) selectMultiWorkers(queries []Query, workers int, useCache bo
 	runTasks(len(indexed)+len(segments), workers, func(ti int) {
 		if ti < len(indexed) {
 			// Validation above guarantees these cannot error.
-			rows, st, _ := db.selectQuery(indexed[ti].q, useCache)
+			rows, st, _ := db.Select(indexed[ti].q)
 			idxRows[ti], idxStats[ti] = rows, st
 			return
 		}
@@ -389,10 +367,6 @@ func (db *Database) selectMultiWorkers(queries []Query, workers int, useCache bo
 	}
 	for _, seg := range segments {
 		putHitBuf(seg.hits)
-	}
-	for _, f := range fills {
-		rows := results[f.idx]
-		db.scanCache.Put(f.key, f.epoch, rows[:len(rows):len(rows)], scanEntryCost(f.key, len(rows)))
 	}
 	return results, stats, nil
 }

@@ -18,7 +18,7 @@ func TestSelectMultiMatchesSelect(t *testing.T) {
 			{Column: "Family", Op: OpEq, Operand: String("F1")},
 		}},
 	}
-	multi, _, err := db.SelectMulti(queries)
+	multi, _, err := db.SelectMultiWorkers(queries, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSelectMultiSharesScans(t *testing.T) {
 		{Table: "Gene", Predicates: []Predicate{{Column: "Seq", Op: OpEq, Operand: String("GGTT")}}},
 		{Table: "Gene", Predicates: []Predicate{{Column: "Seq", Op: OpEq, Operand: String("TTCG")}}},
 	}
-	_, stats, err := db.SelectMulti(queries)
+	_, stats, err := db.SelectMultiWorkers(queries, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,23 +74,24 @@ func TestSelectMultiSharesScans(t *testing.T) {
 
 func TestSelectMultiErrors(t *testing.T) {
 	db := testDB(t)
-	if _, _, err := db.SelectMulti([]Query{{Table: "Missing"}}); err == nil {
+	if _, _, err := db.SelectMultiWorkers([]Query{{Table: "Missing"}}, 1); err == nil {
 		t.Error("unknown table should fail")
 	}
-	if _, _, err := db.SelectMulti([]Query{{
+	if _, _, err := db.SelectMultiWorkers([]Query{{
 		Table:      "Gene",
 		Predicates: []Predicate{{Column: "Nope", Op: OpEq, Operand: String("x")}},
-	}}); err == nil {
+	}}, 1); err == nil {
 		t.Error("unknown column should fail")
 	}
-	out, _, err := db.SelectMulti(nil)
+	out, _, err := db.SelectMultiWorkers(nil, 1)
 	if err != nil || len(out) != 0 {
 		t.Error("empty batch should be a no-op")
 	}
 }
 
 // TestSelectMultiRandomEquivalence is a property test: for random batches
-// of queries over the fixture, SelectMulti is result-equivalent to Select.
+// of queries over the fixture, SelectMultiWorkers is result-equivalent to
+// Select.
 func TestSelectMultiRandomEquivalence(t *testing.T) {
 	db := testDB(t)
 	rng := rand.New(rand.NewSource(99))
@@ -129,7 +130,7 @@ func TestSelectMultiRandomEquivalence(t *testing.T) {
 				Column: col, Op: op, Operand: String(ops[rng.Intn(len(ops))]),
 			}}}
 		}
-		multi, _, err := db.SelectMulti(queries)
+		multi, _, err := db.SelectMultiWorkers(queries, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@ import (
 // after the pool drains, so callers see the same panic-on-my-stack
 // behavior as the sequential path (and the engine's public boundary can
 // convert it to ErrInternal).
-// hitBufPool recycles the per-segment match buffers of SelectMulti's
+// hitBufPool recycles the per-segment match buffers of SelectMultiWorkers'
 // shared passes; without it every batch re-grows one slice per segment
 // from nil. Buffers are cleared before going back so they do not pin
 // deleted rows.

@@ -7,11 +7,11 @@ import "strings"
 // compare rows, order and stats with it, and so does the workload batch of
 // scan_workload_test.go. Nothing else may call it.
 
-// SelectMultiReference is SelectMultiUncached run through the reference
+// SelectMultiReference is SelectMultiWorkers run through the reference
 // row kernel: Value.Key() for every row of every probed column, and
 // name-resolving, whole-cell-lowering predicate evaluation for residuals.
 func (db *Database) SelectMultiReference(queries []Query, workers int) ([][]*Row, SelectStats, error) {
-	return db.selectMultiWorkers(queries, workers, false, scanReference)
+	return db.selectMultiWorkers(queries, workers, scanReference)
 }
 
 func (pass *tablePass) scanReference(lo, hi int, hits []hit) []hit {

@@ -72,7 +72,7 @@ func TestScanBatchKernelsIdentical(t *testing.T) {
 		t.Fatal("the batch matched nothing")
 	}
 	for _, workers := range []int{1, 2} {
-		sets, stats, err := ds.DB.SelectMultiUncached(batch, workers)
+		sets, stats, err := ds.DB.SelectMultiWorkers(batch, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

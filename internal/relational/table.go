@@ -47,14 +47,15 @@ type Table struct {
 	// column keeps none (see keepsFolded). Never persisted.
 	folded [][]uint64
 	pkCol  int
-	// epoch counts mutations (Insert/Delete/Update). Cached query results
-	// are keyed by it, so any change to the stored rows invalidates them.
+	// epoch counts mutations (Insert/DeleteByKey/UpdateByKey). Cached
+	// discoveries are keyed by it, so any change to the stored rows
+	// invalidates them.
 	// Atomic so concurrent readers (discoveries under the engine's read
 	// lock, /metrics scrapes) never race a write-locked mutation.
 	epoch atomic.Uint64
-	// onMutate, when non-nil, observes every committed Insert/Delete/
-	// Update — the engine's WAL capture point for raw row operations. It
-	// runs synchronously inside the mutation, which the engine already
+	// onMutate, when non-nil, observes every committed Insert/DeleteByKey/
+	// UpdateByKey — the engine's WAL capture point for raw row operations.
+	// It runs synchronously inside the mutation, which the engine already
 	// serializes under its write lock. Subset/miniDB copies never carry a
 	// hook (insertValidated bypasses it by design: materialized views are
 	// derived state, not history).
@@ -109,8 +110,8 @@ func (t *Table) Name() string { return t.schema.Name }
 func (t *Table) Len() int { return len(t.rows) }
 
 // Epoch returns the table's mutation counter. It advances on every
-// Insert, Delete, and Update; cache entries derived from this table's
-// rows carry the epoch they were computed at and are invalidated when
+// Insert, DeleteByKey and UpdateByKey; cache entries derived from this
+// table's rows carry the epoch they were computed at and are invalidated when
 // it moves.
 func (t *Table) Epoch() uint64 { return t.epoch.Load() }
 
@@ -182,10 +183,6 @@ func (t *Table) rowPos(row *Row) int {
 	return -1
 }
 
-// Delete removes the tuple with the given primary-key value. It reports
-// whether a row was removed.
-func (t *Table) Delete(pk Value) bool { return t.DeleteByKey(pk.Key()) }
-
 // DeleteByKey removes the tuple with the given canonical primary-key form
 // (the Key component of a TupleID). It reports whether a row was removed.
 func (t *Table) DeleteByKey(key string) bool {
@@ -217,18 +214,12 @@ func (t *Table) DeleteByKey(key string) bool {
 	return true
 }
 
-// Update replaces the value of one column of the tuple identified by pk,
-// maintaining the column's hash/inverted indexes. Updating the primary-key
-// column is rejected: tuple identities (TupleID) are referenced by
-// annotations, the ACG, and verification tasks — re-keying a tuple is a
-// delete + insert at the application layer.
-func (t *Table) Update(pk Value, column string, value Value) error {
-	return t.UpdateByKey(pk.Key(), column, value)
-}
-
-// UpdateByKey is Update addressed by the canonical primary-key form (the
-// Key component of a TupleID) — the WAL-replay entry point, where only the
-// recorded canonical key is available, not the original typed value.
+// UpdateByKey replaces the value of one column of the tuple with the given
+// canonical primary-key form (the Key component of a TupleID; a typed value
+// v gives it as v.Key()), maintaining the column's hash/inverted indexes.
+// Updating the primary-key column is rejected: tuple identities (TupleID)
+// are referenced by annotations, the ACG, and verification tasks — re-keying
+// a tuple is a delete + insert at the application layer.
 func (t *Table) UpdateByKey(key string, column string, value Value) error {
 	row, ok := t.byPK[key]
 	if !ok {

@@ -29,18 +29,6 @@ func (db *Database) SelectContext(ctx context.Context, q Query) ([]*Row, SelectS
 	return rows, st, err
 }
 
-// SelectUncachedContext is SelectUncached, traced like SelectContext.
-func (db *Database) SelectUncachedContext(ctx context.Context, q Query) ([]*Row, SelectStats, error) {
-	parent := trace.FromContext(ctx)
-	if parent == nil {
-		return db.SelectUncached(q)
-	}
-	span := parent.StartChild("scan:" + q.Table)
-	rows, st, err := db.SelectUncached(q)
-	finishScanSpan(span, st)
-	return rows, st, err
-}
-
 // SelectMultiWorkersContext is SelectMultiWorkers, wrapped in one
 // "scan-multi" span covering the whole batch (the batch shares physical
 // scans, so per-query attribution inside it would be fiction).
@@ -56,29 +44,12 @@ func (db *Database) SelectMultiWorkersContext(ctx context.Context, queries []Que
 	return sets, st, err
 }
 
-// SelectMultiUncachedContext is SelectMultiUncached, traced like
-// SelectMultiWorkersContext.
-func (db *Database) SelectMultiUncachedContext(ctx context.Context, queries []Query, workers int) ([][]*Row, SelectStats, error) {
-	parent := trace.FromContext(ctx)
-	if parent == nil {
-		return db.SelectMultiUncached(queries, workers)
-	}
-	span := parent.StartChild("scan-multi")
-	span.AddInt("queries", len(queries))
-	sets, st, err := db.SelectMultiUncached(queries, workers)
-	finishScanSpan(span, st)
-	return sets, st, err
-}
-
 func finishScanSpan(span *trace.Span, st SelectStats) {
 	if !span.Enabled() {
 		return
 	}
 	span.AddInt("tuples_scanned", st.TuplesScanned)
 	span.AddInt("tuples_returned", st.TuplesReturned)
-	if st.CacheHits > 0 {
-		span.AddInt("cache_hits", st.CacheHits)
-	}
 	if st.IndexUsed {
 		span.Add("index_used", 1)
 	}

@@ -10,8 +10,8 @@ import (
 	"nebula/internal/workload"
 )
 
-// TestMetricsCacheSeries checks the cache observability surface: per-layer
-// hit/miss/occupancy gauges on /metrics, the request-level cache bypass,
+// TestMetricsCacheSeries checks the cache observability surface: the
+// discovery cache's hit/miss/occupancy series on /metrics, the request-level cache bypass,
 // and the per-response cache_hits stat.
 func TestMetricsCacheSeries(t *testing.T) {
 	f := newFixture(t, nil)
@@ -39,9 +39,13 @@ func TestMetricsCacheSeries(t *testing.T) {
 	if v := f.metric(t, "nebula_exec_cache_hits_total"); v < 1 {
 		t.Errorf("nebula_exec_cache_hits_total = %v, want >= 1", v)
 	}
+	if v := f.metric(t, `nebula_cache_max_bytes{layer="discovery"}`); v != nebula.DefaultCacheBytes {
+		t.Errorf(`nebula_cache_max_bytes{layer="discovery"} = %v, want the whole budget %d`, v, nebula.DefaultCacheBytes)
+	}
+	// The scan, query and mapping layers are gone, and so are their series.
 	for _, layer := range []string{"scan", "query", "mapping"} {
-		if v := f.metric(t, `nebula_cache_max_bytes{layer="`+layer+`"}`); v <= 0 {
-			t.Errorf("layer %s missing from /metrics (max_bytes = %v)", layer, v)
+		if v := f.metric(t, `nebula_cache_max_bytes{layer="`+layer+`"}`); v != -1 {
+			t.Errorf("deleted layer %s still on /metrics (max_bytes = %v)", layer, v)
 		}
 	}
 

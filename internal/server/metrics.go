@@ -265,36 +265,28 @@ func (m *metrics) render(w io.Writer, queued, inflight int, draining bool) {
 	}
 }
 
-// renderCacheMetrics writes the engine's live cache-layer series: per-layer
-// hit/miss/eviction/invalidation counters plus occupancy gauges. The layer
-// label ranges over scan (relational), query (keyword results), mapping
-// (keyword→schema memos), and discovery (whole-pipeline). Unlike the
+// renderCacheMetrics writes the engine's live cache series: hit/miss/
+// eviction/invalidation counters plus occupancy gauges of the discovery
+// cache, the one layer, each labelled layer="discovery". Unlike the
 // counters above these read straight from the engine, so a snapshot load
-// (fresh engine, cold caches) legitimately resets them.
+// (fresh engine, cold cache) legitimately resets them.
 func renderCacheMetrics(w io.Writer, cs nebula.CacheStats) {
 	fmt.Fprintf(w, "# TYPE nebula_cache_enabled gauge\nnebula_cache_enabled %d\n", boolGauge(cs.Enabled))
-	layers := []struct {
-		name string
-		s    nebula.CacheCounters
+	d := cs.Discovery
+	for _, m := range []struct {
+		series, typ string
+		value       int64
 	}{
-		{"scan", cs.Scan},
-		{"query", cs.Query},
-		{"mapping", cs.Mapping},
-		{"discovery", cs.Discovery},
+		{"nebula_cache_hits_total", "counter", d.Hits},
+		{"nebula_cache_misses_total", "counter", d.Misses},
+		{"nebula_cache_evictions_total", "counter", d.Evictions},
+		{"nebula_cache_invalidations_total", "counter", d.Invalidations},
+		{"nebula_cache_entries", "gauge", int64(d.Entries)},
+		{"nebula_cache_bytes", "gauge", d.Bytes},
+		{"nebula_cache_max_bytes", "gauge", d.MaxBytes},
+	} {
+		fmt.Fprintf(w, "# TYPE %s %s\n%s{layer=\"discovery\"} %d\n", m.series, m.typ, m.series, m.value)
 	}
-	emit := func(series, typ string, value func(nebula.CacheCounters) int64) {
-		fmt.Fprintf(w, "# TYPE %s %s\n", series, typ)
-		for _, l := range layers {
-			fmt.Fprintf(w, "%s{layer=%q} %d\n", series, l.name, value(l.s))
-		}
-	}
-	emit("nebula_cache_hits_total", "counter", func(s nebula.CacheCounters) int64 { return s.Hits })
-	emit("nebula_cache_misses_total", "counter", func(s nebula.CacheCounters) int64 { return s.Misses })
-	emit("nebula_cache_evictions_total", "counter", func(s nebula.CacheCounters) int64 { return s.Evictions })
-	emit("nebula_cache_invalidations_total", "counter", func(s nebula.CacheCounters) int64 { return s.Invalidations })
-	emit("nebula_cache_entries", "gauge", func(s nebula.CacheCounters) int64 { return int64(s.Entries) })
-	emit("nebula_cache_bytes", "gauge", func(s nebula.CacheCounters) int64 { return s.Bytes })
-	emit("nebula_cache_max_bytes", "gauge", func(s nebula.CacheCounters) int64 { return s.MaxBytes })
 }
 
 // renderWALMetrics writes the engine's durability series: append/sync

@@ -113,17 +113,17 @@ func diffState(t *testing.T) State {
 		tuples = append(tuples, row.ID)
 	}
 	for i := 0; i < 60; i += 9 {
-		if err := pub.Update(relational.Int(int64(1000+i)), "Abstract", relational.String("rewritten İ abstract the THE "+texts[i%len(texts)])); err != nil {
+		if err := pub.UpdateByKey(relational.Int(int64(1000+i)).Key(), "Abstract", relational.String("rewritten İ abstract the THE "+texts[i%len(texts)])); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := gene.Update(relational.String("JW0003"), "Family", relational.String("F1")); err != nil {
+	if err := gene.UpdateByKey(relational.String("JW0003").Key(), "Family", relational.String("F1")); err != nil {
 		t.Fatal(err)
 	}
 	deleted := map[relational.TupleID]bool{}
 	for _, pk := range []int64{1004, 1031, 1059} {
 		id := relational.TupleID{Table: "Publication", Key: relational.Int(pk).Key()}
-		if !pub.Delete(relational.Int(pk)) {
+		if !pub.DeleteByKey(relational.Int(pk).Key()) {
 			t.Fatalf("no publication %d", pk)
 		}
 		deleted[id] = true

@@ -37,7 +37,7 @@ type AnnotateStmt struct {
 // sizes the worker pool for this statement (1 = sequential). Zero means no
 // bound / the engine's configured parallelism. CACHE ON/OFF overrides the
 // engine's result caching for this one run; CACHE <bytes> resizes the
-// engine's overall cache budget before the run. TRACE ON records a
+// engine's discovery-cache budget before the run. TRACE ON records a
 // request-scoped span tree and appends it to the result (observe-only —
 // candidates are identical either way). TOPK <k> keeps only the
 // strongest k attachments of the full ranking, cut before MAX.

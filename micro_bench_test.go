@@ -79,7 +79,7 @@ func BenchmarkRelationalScanSelect(b *testing.B) {
 }
 
 // BenchmarkRelationalSharedScan measures the batched-scan path of
-// SelectMulti with 8 same-column scan queries.
+// SelectMultiWorkers with 8 same-column scan queries.
 func BenchmarkRelationalSharedScan(b *testing.B) {
 	ds := microDataset(b)
 	queries := make([]relational.Query, 8)
@@ -91,7 +91,7 @@ func BenchmarkRelationalSharedScan(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ds.DB.SelectMulti(queries); err != nil {
+		if _, _, err := ds.DB.SelectMultiWorkers(queries, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -68,10 +68,10 @@ type RequestOptions struct {
 	// (0 = keep the engine's configured value).
 	Parallelism int `json:"parallelism,omitempty"`
 	// Cache controls result caching for this request: "" keeps the
-	// engine's configured behavior, "off" bypasses every cache layer
-	// (the request neither consults nor populates them), "on" re-enables
-	// caching for a request when the engine has caches built (it cannot
-	// conjure caches on an engine configured with caching disabled).
+	// engine's configured behavior, "off" bypasses the discovery cache
+	// (the request neither consults nor populates it), "on" re-enables
+	// caching for a request when the engine has the cache built (it cannot
+	// conjure a cache on an engine configured with caching disabled).
 	Cache string `json:"cache,omitempty"`
 	// Trace attaches a request-scoped span tree to this run (see
 	// Options.Trace). Observe-only: results are byte-identical either way.
@@ -144,20 +144,19 @@ func (r RequestOptions) apply(base Options) Options {
 	return base
 }
 
-// DefaultCacheBytes is the total cache budget (across the three layers)
-// when caching is enabled without an explicit limit: 64 MiB.
+// DefaultCacheBytes is the discovery cache's byte budget when caching is
+// enabled without an explicit limit: 64 MiB.
 const DefaultCacheBytes = 64 << 20
 
-// CacheConfig governs the engine's epoch-versioned result caches: the
-// relational scan cache, the keyword structured-query/mapper cache, and
-// the whole-pipeline discovery cache. The zero value means *enabled*
-// with the DefaultCacheBytes budget — caching is coherence-safe (every
-// mutation advances an epoch the cache keys embed), so it defaults on.
+// CacheConfig governs the engine's one result cache: the epoch-versioned,
+// whole-pipeline discovery cache. The zero value means *enabled* with the
+// DefaultCacheBytes budget — caching is coherence-safe (every mutation
+// advances an epoch the cache keys embed), so it defaults on.
 type CacheConfig struct {
-	// Disabled turns every cache layer off.
+	// Disabled turns the discovery cache off.
 	Disabled bool
-	// MaxBytes is the total (approximate) byte budget split across the
-	// three layers; 0 selects DefaultCacheBytes.
+	// MaxBytes is the discovery cache's (approximate) byte budget, all of
+	// it; 0 selects DefaultCacheBytes.
 	MaxBytes int64
 }
 
@@ -272,8 +271,8 @@ type Options struct {
 	// to sequential execution — parallelism changes scheduling, never
 	// output.
 	Parallelism int
-	// Cache governs the epoch-versioned result caches (see CacheConfig).
-	// The zero value enables them with the default budget; caching never
+	// Cache governs the epoch-versioned discovery cache (see CacheConfig).
+	// The zero value enables it with the default budget; caching never
 	// changes results — only whether work is redone.
 	Cache CacheConfig
 	// Trace attaches a request-scoped span tree (internal/trace) to every

@@ -204,9 +204,8 @@ func TestShardConcurrentMutationIdentity(t *testing.T) {
 // TestShardPropagateReadsBesideDiscover runs query-time propagation
 // (PropagateQuery, PropagateJoin) beside cached discoveries on a 4-shard
 // engine. Both hold only the read lock, so under -race this checks that
-// propagation writes no shared state — the scan cache its selects go
-// through included — and every concurrent answer must equal the one
-// computed alone.
+// propagation writes no shared state, and every concurrent answer must
+// equal the one computed alone.
 func TestShardPropagateReadsBesideDiscover(t *testing.T) {
 	ds, err := workload.Generate(workload.TinyConfig(23))
 	if err != nil {
