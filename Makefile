@@ -18,7 +18,8 @@ all: build test
 # the recovered engine must match the durable prefix exactly), the
 # differential restore suites (the concurrent bulk-load restore against the
 # one-insert-at-a-time reference, repeated under the race detector, beside
-# the scan kernel's hash columns held to every row mutation), the
+# the scan kernel's hash columns and hash orders held to every row
+# mutation), the
 # ACG and annotation-store model invariants with their retained-heap
 # budgets per edge, and the ingest, shard and segment identity suites
 # under -race.

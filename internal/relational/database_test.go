@@ -205,20 +205,29 @@ func TestLookupEqualWithAndWithoutIndex(t *testing.T) {
 	}
 }
 
-func TestLookupToken(t *testing.T) {
+// tokenRows returns the rows of table whose column holds token, through
+// the path the keyword executor takes: Select with OpContainsToken.
+func tokenRows(t *testing.T, db *Database, table, column, token string) []*Row {
+	t.Helper()
+	rows, _, err := db.Select(Query{Table: table, Predicates: []Predicate{{Column: column, Op: OpContainsToken, Operand: String(token)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+func TestSelectContainsToken(t *testing.T) {
 	db := testDB(t)
-	pt := db.MustTable("Publication")
-	rows := pt.LookupToken("Abstract", "yaaB")
+	rows := tokenRows(t, db, "Publication", "Abstract", "yaaB")
 	if len(rows) != 1 {
 		t.Fatalf("token yaaB: %d rows", len(rows))
 	}
-	rows = pt.LookupToken("Abstract", "yaa")
+	rows = tokenRows(t, db, "Publication", "Abstract", "yaa")
 	if len(rows) != 0 {
 		t.Error("partial token must not match")
 	}
 	// fallback scan path on a non-indexed column
-	gt := db.MustTable("Gene")
-	rows = gt.LookupToken("Seq", "TGCT")
+	rows = tokenRows(t, db, "Gene", "Seq", "TGCT")
 	if len(rows) != 1 {
 		t.Errorf("scan token: %d rows", len(rows))
 	}
@@ -418,10 +427,10 @@ func TestUpdate(t *testing.T) {
 	if err := pt.UpdateByKey(String("PUB1").Key(), "Abstract", String("completely new words here")); err != nil {
 		t.Fatal(err)
 	}
-	if rows := pt.LookupToken("Abstract", "yaaB"); len(rows) != 0 {
+	if rows := tokenRows(t, db, "Publication", "Abstract", "yaaB"); len(rows) != 0 {
 		t.Error("stale inverted entry")
 	}
-	if rows := pt.LookupToken("Abstract", "completely"); len(rows) != 1 {
+	if rows := tokenRows(t, db, "Publication", "Abstract", "completely"); len(rows) != 1 {
 		t.Error("new inverted entry missing")
 	}
 	// No-op update is accepted.
@@ -579,7 +588,7 @@ func TestInvertedIndexPostings(t *testing.T) {
 	}
 	ids := func(token string) string {
 		var out []string
-		for _, r := range tbl.LookupToken("Body", token) {
+		for _, r := range tokenRows(t, db, "Doc", "Body", token) {
 			out = append(out, r.ID.Key)
 		}
 		return fmt.Sprint(out)

@@ -183,26 +183,52 @@ func TestSharedPassLengthChangingFolds(t *testing.T) {
 	}
 }
 
-// TestSharedPassHashCollision forces every operand of a probe onto one hash
-// and checks that only the fold-compare's verdict reaches the results.
+// TestSharedPassHashCollision forces every distinct cell of a column into
+// one equal-hash run and every operand onto its hash, and checks that only
+// the fold-compare's verdict reaches the results, for probes and for
+// residuals seeded from an equality predicate alike.
 func TestSharedPassHashCollision(t *testing.T) {
 	db := kernelDB(t, []string{"alpha", "ALPHA", "alphb", "bravo", "charl"}, 500)
 	var qs []Query
 	for _, o := range []string{"alpha", "bravo", "delta", "alphb", "Bravo"} {
 		qs = append(qs, Query{Table: "T", Predicates: []Predicate{{Column: "Cell", Op: OpEq, Operand: String(o)}}})
 	}
-	// The probe really is degenerate under scanCollide.
-	pass := &tablePass{t: db.MustTable("T")}
+	for _, o := range []string{"alphb", "charl", "delta"} {
+		qs = append(qs, Query{Table: "T", Predicates: []Predicate{
+			{Column: "N", Op: OpEq, Operand: Int(3)},
+			{Column: "Other", Op: OpEq, Operand: String(o)},
+		}})
+	}
+	// The lookups really are degenerate under scanCollide.
+	tbl := db.MustTable("T")
+	pass := &tablePass{t: tbl}
 	for i, q := range qs {
 		pass.add(i, q)
 	}
-	pass.probes[0].seal(scanCollide)
-	if n := len(pass.probes[0].ops); n != 4 {
+	pass.seal(scanCollide)
+	p := pass.probes[0]
+	if !p.lookup || pass.walks {
+		t.Fatalf("probe looks up %v, pass walks %v: want every query looked up", p.lookup, pass.walks)
+	}
+	if n := len(p.ops); n != 4 {
 		t.Fatalf("probe holds %d operands, want 4 distinct keys", n)
 	}
-	for _, op := range pass.probes[0].ops {
-		if op.hash != 0 {
+	for _, op := range p.ops {
+		if op.hash != 1 {
 			t.Fatalf("operand %q kept hash %x under scanCollide", op.lower, op.hash)
+		}
+	}
+	lo, hi := p.runs.run(1, p.runs.after(0, 0))
+	distinct := map[string]bool{}
+	for _, pos := range p.runs.order[lo:hi] {
+		distinct[strings.ToLower(tbl.rows[pos].Values[p.colIdx].Str())] = true
+	}
+	if hi-lo != tbl.Len() || len(distinct) != 4 {
+		t.Fatalf("the colliding run holds %d rows and %d distinct cells, want %d and 4", hi-lo, len(distinct), tbl.Len())
+	}
+	for _, r := range pass.residual {
+		if !r.seeded || r.seed != 1 || r.runs.limit != 1 {
+			t.Fatalf("residual %s: seeded %v from hash %x, want seeded from 1", r.q, r.seeded, r.seed)
 		}
 	}
 	got := runScan(t, db, qs, 2, scanCollide)
@@ -215,6 +241,9 @@ func TestSharedPassHashCollision(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.IDs[1], got.IDs[4]) {
 		t.Fatal("bravo and Bravo share a key and must share their rows")
+	}
+	if len(got.IDs[5]) == 0 || len(got.IDs[6]) == 0 || len(got.IDs[7]) != 0 {
+		t.Fatalf("residuals alphb/charl/delta matched %d/%d/%d rows, want some/some/none", len(got.IDs[5]), len(got.IDs[6]), len(got.IDs[7]))
 	}
 }
 
@@ -322,14 +351,24 @@ func TestSharedPassAllocsIndependentOfRows(t *testing.T) {
 	}
 }
 
-// BenchmarkSharedPassProbe measures one 8-query shared pass through the
-// folded-hash kernel at 1 and 2 workers over tables of the D_mid sizes
-// (4 500 proteins, 7 500 genes, 15 000 publications), and through the
-// reference pass over 8k rows. Two workers against one at each size is
-// what minSegmentRows is weighed on.
+// onColumn points every query of qs at column, in place.
+func onColumn(qs []Query, column string) []Query {
+	for i := range qs {
+		qs[i].Predicates[0].Column = column
+	}
+	return qs
+}
+
+// BenchmarkSharedPassProbe measures one 8-query shared pass at 1 and 2
+// workers over tables of the D_mid sizes (4 500 proteins, 7 500 genes,
+// 15 000 publications): looked up in a column's hash order ("folded"),
+// walked on a column that keeps no hash column ("walked"), and through the
+// reference pass over 8k rows. Two workers against one on the walk, where
+// a pass is still cut into segments, is what minSegmentRows is weighed on.
 func BenchmarkSharedPassProbe(b *testing.B) {
-	run := func(b *testing.B, rows, workers int, mode scanMode) {
+	run := func(b *testing.B, rows, workers int, mode scanMode, column string) {
 		db, qs := asciiScanDB(b, rows)
+		onColumn(qs, column)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -338,26 +377,29 @@ func BenchmarkSharedPassProbe(b *testing.B) {
 			}
 		}
 	}
-	for _, rows := range []int{4500, 7500, 15000} {
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("folded/rows=%d/workers=%d", rows, workers), func(b *testing.B) {
-				run(b, rows, workers, scanFolded)
-			})
+	for _, kind := range []struct{ name, column string }{{"folded", "Cell"}, {"walked", "Text"}} {
+		for _, rows := range []int{4500, 7500, 15000} {
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/rows=%d/workers=%d", kind.name, rows, workers), func(b *testing.B) {
+					run(b, rows, workers, scanFolded, kind.column)
+				})
+			}
 		}
 	}
-	b.Run("reference/rows=8192/workers=1", func(b *testing.B) { run(b, 8192, 1, scanReference) })
+	b.Run("reference/rows=8192/workers=1", func(b *testing.B) { run(b, 8192, 1, scanReference, "Cell") })
 }
 
-// BenchmarkSharedPassSegment times the kernel alone over one segment of
-// each candidate size for minSegmentRows; ns/op divided by the size is the
-// per-row cost the constant is weighed against.
+// BenchmarkSharedPassSegment times the walk alone over one segment of each
+// candidate size for minSegmentRows, on a column that keeps no hash column;
+// ns/op divided by the size is the per-row cost the constant is weighed
+// against.
 func BenchmarkSharedPassSegment(b *testing.B) {
 	db, qs := asciiScanDB(b, 8192)
 	pass := &tablePass{t: db.MustTable("T")}
-	for i, q := range qs {
+	for i, q := range onColumn(qs, "Text") {
 		pass.add(i, q)
 	}
-	pass.probes[0].seal(scanFolded)
+	pass.seal(scanFolded)
 	for _, size := range []int{64, 256, 1024, 8192} {
 		b.Run(fmt.Sprint(size), func(b *testing.B) {
 			hits := make([]hit, 0, 512)

@@ -24,8 +24,8 @@ type ColumnData struct {
 // or row instead of once per call.
 //
 // On return the rows, the primary-key map and the primary key's hash index
-// are complete. Every other index, and every hash column, is filled by one
-// of the returned tasks.
+// are complete. Every other index, and every hash column with its hash
+// order, is filled by one of the returned tasks.
 // A task walks its column from row 0 up, so list order is insertion order
 // whichever goroutine runs it, and two tasks never touch the same index:
 // the caller may run them concurrently, and must have run them all before
@@ -104,7 +104,10 @@ func LoadTable(s *Schema, cols []ColumnData, n int) (*Table, []func(), error) {
 			tasks = append(tasks, func() { ix.postings = t.groupByToken(j) })
 		}
 		if t.folded[j] != nil {
-			tasks = append(tasks, func() { t.folded[j] = t.foldColumn(j) })
+			tasks = append(tasks, func() {
+				t.folded[j] = t.foldColumn(j)
+				t.hashOrder[j] = sortByHash(t.folded[j])
+			})
 		}
 	}
 	return t, tasks, nil

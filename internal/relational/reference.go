@@ -18,7 +18,7 @@ func (pass *tablePass) scanReference(lo, hi int, hits []hit) []hit {
 	for _, r := range pass.t.rows[lo:hi] {
 		for _, p := range pass.probes {
 			for _, qi := range p.byKey[r.Values[p.colIdx].Key()] {
-				hits = append(hits, hit{qi: qi, r: r})
+				hits = append(hits, hit{qi: int32(qi), r: r})
 			}
 		}
 		for _, item := range pass.residual {
@@ -30,7 +30,7 @@ func (pass *tablePass) scanReference(lo, hi int, hits []hit) []hit {
 				}
 			}
 			if match {
-				hits = append(hits, hit{qi: item.idx, r: r})
+				hits = append(hits, hit{qi: int32(item.idx), r: r})
 			}
 		}
 	}

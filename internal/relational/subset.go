@@ -42,5 +42,15 @@ func (db *Database) Subset(ids []TupleID) (*Database, error) {
 		// materializes a miniDB per annotation, so this path is hot.
 		dst.insertValidated(row)
 	}
+	// One sort per hash column once the rows are in: kept in step row by
+	// row, each insert would shift the order, quadratic in the subset.
+	for _, name := range mini.order {
+		t := mini.tables[name]
+		for j, col := range t.folded {
+			if col != nil {
+				t.hashOrder[j] = sortByHash(col)
+			}
+		}
+	}
 	return mini, nil
 }

@@ -1,8 +1,10 @@
 package relational
 
 import (
+	"cmp"
 	"fmt"
-	"strings"
+	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -46,7 +48,13 @@ type Table struct {
 	// beside rows by every mutation. By column position; nil where the
 	// column keeps none (see keepsFolded). Never persisted.
 	folded [][]uint64
-	pkCol  int
+	// hashOrder is, beside each hash column, its row positions sorted by
+	// (hash, position): every equal-hash run in row order, so the kernel
+	// finds an operand's rows by binary search instead of walking the
+	// column. Kept in step by Insert, DeleteByKey and UpdateByKey, and
+	// built whole by LoadTable and Subset. Nil where folded is.
+	hashOrder [][]int32
+	pkCol     int
 	// epoch counts mutations (Insert/DeleteByKey/UpdateByKey). Cached
 	// discoveries are keyed by it, so any change to the stored rows
 	// invalidates them.
@@ -70,12 +78,13 @@ func newTable(s *Schema, rows int) (*Table, error) {
 	}
 	pk, _ := s.ColumnIndex(s.PrimaryKey)
 	t := &Table{
-		schema:   s,
-		byPK:     make(map[string]*Row, rows),
-		hash:     make([]*hashIndex, len(s.Columns)),
-		inverted: make([]*invertedIndex, len(s.Columns)),
-		folded:   make([][]uint64, len(s.Columns)),
-		pkCol:    pk,
+		schema:    s,
+		byPK:      make(map[string]*Row, rows),
+		hash:      make([]*hashIndex, len(s.Columns)),
+		inverted:  make([]*invertedIndex, len(s.Columns)),
+		folded:    make([][]uint64, len(s.Columns)),
+		hashOrder: make([][]int32, len(s.Columns)),
+		pkCol:     pk,
 	}
 	for i, c := range s.Columns {
 		if c.Indexed || i == pk {
@@ -86,6 +95,7 @@ func newTable(s *Schema, rows int) (*Table, error) {
 		}
 		if t.keepsFolded(i) {
 			t.folded[i] = make([]uint64, 0, rows)
+			t.hashOrder[i] = make([]int32, 0, rows)
 		}
 	}
 	return t, nil
@@ -140,6 +150,13 @@ func (t *Table) Insert(values []Value) (*Row, error) {
 	t.rows = append(t.rows, row)
 	t.byPK[pkKey] = row
 	t.indexRow(row)
+	pos := int32(len(t.rows) - 1)
+	for j, col := range t.folded {
+		if col != nil {
+			// The new position is the largest, so it ends its hash's run.
+			t.hashOrder[j] = slices.Insert(t.hashOrder[j], orderSearch(col, t.hashOrder[j], col[pos], pos), pos)
+		}
+	}
 	t.epoch.Add(1)
 	if t.onMutate != nil {
 		t.onMutate(RowMutation{Kind: RowInsert, Table: t.schema.Name, Key: pkKey, Values: values})
@@ -149,7 +166,8 @@ func (t *Table) Insert(values []Value) (*Row, error) {
 
 // insertValidated adds a copy of a row from another table with the same
 // (validated) schema, skipping arity/type/duplicate checks. Callers must
-// guarantee schema identity and PK uniqueness; Database.Subset does.
+// guarantee schema identity and PK uniqueness; Database.Subset does, and
+// builds the hash orders once all its rows are in.
 func (t *Table) insertValidated(src *Row) *Row {
 	row := &Row{ID: src.ID, Values: src.Values, schema: t.schema}
 	t.rows = append(t.rows, row)
@@ -173,6 +191,56 @@ func (t *Table) indexRow(row *Row) {
 	}
 }
 
+// orderSearch returns the index of (h, pos) in order, a column's row
+// positions sorted by (hash, position) over the hash column col, or the
+// index where it would be inserted.
+func orderSearch(col []uint64, order []int32, h uint64, pos int32) int {
+	lo, hi := 0, len(order)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p := order[m]; col[p] < h || col[p] == h && p < pos {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// sortByHash returns the row positions of the hash column col sorted by
+// (hash, position): what a run of Inserts leaves in hashOrder. It sorts
+// plain integers, each hash's upper half above its position, which is
+// several times faster than comparing positions through col; a run of keys
+// whose hashes share the upper half but differ below it, rare at any table
+// size, is then sorted again by the whole hash.
+func sortByHash(col []uint64) []int32 {
+	keys := make([]uint64, len(col))
+	for i, h := range col {
+		keys[i] = h&^math.MaxUint32 | uint64(i)
+	}
+	slices.Sort(keys)
+	order := make([]int32, len(col))
+	for i, k := range keys {
+		order[i] = int32(uint32(k))
+	}
+	for lo := 0; lo < len(order); {
+		hi, mixed := lo+1, false
+		for ; hi < len(order) && keys[hi]>>32 == keys[lo]>>32; hi++ {
+			mixed = mixed || col[order[hi]] != col[order[lo]]
+		}
+		if mixed {
+			slices.SortFunc(order[lo:hi], func(a, b int32) int {
+				if c := cmp.Compare(col[a], col[b]); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+		}
+		lo = hi
+	}
+	return order
+}
+
 // rowPos returns row's position in t.rows.
 func (t *Table) rowPos(row *Row) int {
 	for i, r := range t.rows {
@@ -193,10 +261,21 @@ func (t *Table) DeleteByKey(key string) bool {
 	delete(t.byPK, key)
 	if i := t.rowPos(row); i >= 0 {
 		t.rows = append(t.rows[:i:i], t.rows[i+1:]...)
+		pos := int32(i)
 		for j, col := range t.folded {
-			if col != nil {
-				t.folded[j] = append(col[:i:i], col[i+1:]...)
+			if col == nil {
+				continue
 			}
+			order := t.hashOrder[j]
+			k := orderSearch(col, order, col[pos], pos)
+			order = slices.Delete(order, k, k+1)
+			for x, p := range order {
+				if p > pos {
+					order[x] = p - 1
+				}
+			}
+			t.hashOrder[j] = order
+			t.folded[j] = append(col[:i:i], col[i+1:]...)
 		}
 	}
 	for i, v := range row.Values {
@@ -253,7 +332,14 @@ func (t *Table) UpdateByKey(key string, column string, value Value) error {
 	values[ci] = value
 	row.Values = values
 	if col := t.folded[ci]; col != nil {
-		col[t.rowPos(row)] = foldCell(&values[ci])
+		pos := int32(t.rowPos(row))
+		if h := foldCell(&values[ci]); h != col[pos] {
+			order := t.hashOrder[ci]
+			k := orderSearch(col, order, col[pos], pos)
+			order = slices.Delete(order, k, k+1)
+			col[pos] = h
+			t.hashOrder[ci] = slices.Insert(order, orderSearch(col, order, h, pos), pos)
+		}
 	}
 	if ix := t.hash[ci]; ix != nil {
 		ix.add(value, row)
@@ -303,27 +389,6 @@ func (t *Table) LookupEqual(column string, v Value) ([]*Row, bool) {
 		}
 	}
 	return out, false
-}
-
-// LookupToken returns rows whose full-text-indexed column contains the
-// (lower-cased) token. Columns without a full-text index fall back to a
-// scan with tokenized matching.
-func (t *Table) LookupToken(column, token string) []*Row {
-	ci, ok := t.schema.ColumnIndex(column)
-	if !ok {
-		return nil
-	}
-	if ix := t.inverted[ci]; ix != nil {
-		return ix.lookup(strings.ToLower(token))
-	}
-	needle := strings.ToLower(token)
-	var out []*Row
-	for _, r := range t.rows {
-		if containsToken(r.Values[ci].Str(), needle) {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // DistinctCount returns the number of distinct values in the column when a

@@ -122,7 +122,13 @@ func stateDigest(e *nebula.Engine) string {
 					}
 					if c.FullText {
 						for _, tok := range textutil.Tokenize(r.Values[ci].Str()) {
-							fmt.Fprintf(w, "%s.%s~%s: %s\n", name, c.Name, tok.Lower, ids(table.LookupToken(c.Name, tok.Lower)))
+							hits, _, err := db.Select(nebula.StructuredQuery{Table: name, Predicates: []nebula.Predicate{
+								{Column: c.Name, Op: nebula.OpContainsToken, Operand: nebula.String(tok.Lower)},
+							}})
+							if err != nil {
+								fmt.Fprintf(w, "%s.%s~%s: %v\n", name, c.Name, tok.Lower, err)
+							}
+							fmt.Fprintf(w, "%s.%s~%s: %s\n", name, c.Name, tok.Lower, ids(hits))
 						}
 					}
 				}
