@@ -7,8 +7,10 @@ GO ?= go
 
 all: build test
 
-# Full pre-merge gate: static checks (the nested benchmark module included,
-# which `go test ./...` never builds), build, race-enabled tests, the
+# Full pre-merge gate: static checks and the smoke test of the nested
+# benchmark module (which `go test ./...` never builds; the smoke test runs
+# every workload at Tiny size, the durability, render and torn-tail checks
+# included), build, race-enabled tests, the
 # fault-injection / governance smoke suite, the fuzz seed corpora, the
 # determinism, cache, trace and Unicode suites (parallel determinism, cache
 # on/off and trace byte-identity, the cache-hit allocation budgets of the
@@ -29,6 +31,7 @@ check:
 	$(GO) vet ./...
 	$(GO) vet ./cmd/...
 	cd benchmark && $(GO) vet ./...
+	cd benchmark && $(GO) test ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'Fault|Inject|Governor|Deadline|Cancel|Budget|Degraded|Retry|Panic|Truncat|BitFlip|SaveFile' ./internal/faultinject/ ./internal/snapshot/ .

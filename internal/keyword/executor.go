@@ -3,6 +3,7 @@ package keyword
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"nebula/internal/meta"
 	"nebula/internal/relational"
@@ -131,10 +132,38 @@ func (e *Engine) mergeRows(out []Result, byTuple map[relational.TupleID]int, row
 // annotation). With shared=false every query executes in isolation, exactly
 // as Execute would. With shared=true the executor applies the §6 shared
 // multi-query optimization: identical structured queries across the batch
-// (detected by fingerprint) execute only once, and the result rows are
-// distributed to every (query, configuration) that needed them.
+// (equal up to case and predicate order) execute only once, and the result
+// rows are distributed to every (query, configuration) that needed them.
 func (e *Engine) ExecuteBatch(qs []Query, shared bool) (map[string][]Result, ExecStats, error) {
 	return e.ExecuteBatchContext(context.Background(), qs, shared, Limits{})
+}
+
+// distinctQueries collects structured queries without duplicates, in
+// first-seen order: Query.Hash groups them and Query.Equal confirms each
+// match, so no per-query identity string is built.
+type distinctQueries struct {
+	queries []relational.Query
+	first   map[uint64]int // hash -> index of the first query with it
+}
+
+// add returns q's index among the distinct queries, and whether q is new.
+func (d *distinctQueries) add(q relational.Query) (int, bool) {
+	h := q.Hash()
+	if i, ok := d.first[h]; ok {
+		if d.queries[i].Equal(q) {
+			return i, false
+		}
+		// Two different queries share the hash: settle it by a walk.
+		for j := range d.queries {
+			if d.queries[j].Equal(q) {
+				return j, false
+			}
+		}
+	} else {
+		d.first[h] = len(d.queries)
+	}
+	d.queries = append(d.queries, q)
+	return len(d.queries) - 1, true
 }
 
 // ExecuteBatchContext is ExecuteBatch under governance: between queries —
@@ -183,18 +212,19 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []Query, shared boo
 		return results, stats, nil
 	}
 
-	// Plan: enumerate configurations for each query up front.
+	// Plan: enumerate configurations for each query up front, collecting
+	// the distinct structured queries in first-seen order and, for each
+	// configuration, the need that consumes its query's rows.
 	pspan, _ := trace.StartSpan(ctx, "plan")
 	type need struct {
+		distinct  int // index into batch
 		queryIdx  int
 		conf      float64
 		join      bool
 		joinTable string
 	}
 	plans := make([][]Configuration, len(qs))
-	wanted := make(map[string][]need) // fingerprint -> consumers
-	ordered := make([]string, 0)      // deterministic execution order
-	structured := make(map[string]relational.Query)
+	total := 0
 	for qi, q := range qs {
 		if gov {
 			if err := ctx.Err(); err != nil {
@@ -202,23 +232,29 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []Query, shared boo
 			}
 		}
 		plans[qi] = e.Configurations(q)
-		for _, cfg := range plans[qi] {
-			fp := cfg.Structured.Fingerprint()
-			if _, seen := wanted[fp]; !seen {
-				ordered = append(ordered, fp)
-				structured[fp] = cfg.Structured
-			} else {
+		total += len(plans[qi])
+	}
+	dq := distinctQueries{queries: make([]relational.Query, 0, total), first: make(map[uint64]int, total)}
+	needs := make([]need, 0, total)
+	for qi, plan := range plans {
+		for _, cfg := range plan {
+			i, fresh := dq.add(cfg.Structured)
+			if !fresh {
 				stats.SharedQueries++
 			}
-			wanted[fp] = append(wanted[fp], need{
-				queryIdx: qi, conf: cfg.Confidence,
+			needs = append(needs, need{
+				distinct: i, queryIdx: qi, conf: cfg.Confidence,
 				join: cfg.Join, joinTable: cfg.Table,
 			})
 		}
 	}
+	// The merge consumes needs query by query in execution order, each
+	// query's needs in plan order.
+	slices.SortStableFunc(needs, func(a, b need) int { return a.distinct - b.distinct })
+	batch := dq.queries
 	if pspan.Enabled() {
 		pspan.AddInt("keyword_queries", len(qs))
-		pspan.AddInt("distinct_structured", len(ordered))
+		pspan.AddInt("distinct_structured", len(batch))
 		pspan.AddInt("shared_structured", stats.SharedQueries)
 		pspan.End()
 	}
@@ -229,17 +265,13 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []Query, shared boo
 	// Ungoverned runs submit everything in one batch; governed runs chunk
 	// the batch so cancellation and the scan budget are honored
 	// mid-execution.
-	rowSets := make([][]*relational.Row, len(ordered))
-	executed := len(ordered) // fingerprints actually executed
+	rowSets := make([][]*relational.Row, len(batch))
+	executed := len(batch) // distinct queries actually executed
 	var cancelErr error
 	switch {
 	case workers > 1 && !gov:
 		// Ungoverned parallel: one batch, segment-parallel shared scans.
-		if len(ordered) > 0 {
-			batch := make([]relational.Query, len(ordered))
-			for i, fp := range ordered {
-				batch[i] = structured[fp]
-			}
+		if len(batch) > 0 {
 			sets, st, err := e.db.SelectMultiWorkersContext(ctx, batch, workers)
 			if err != nil {
 				return results, stats, fmt.Errorf("shared execute: %w", err)
@@ -262,19 +294,15 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []Query, shared boo
 			err  error
 			done bool
 		}
-		nChunks := (len(ordered) + sharedChunk - 1) / sharedChunk
+		nChunks := (len(batch) + sharedChunk - 1) / sharedChunk
 		outs := make([]chunkOut, nChunks)
 		runChunk := func(ci int) {
 			lo := ci * sharedChunk
 			hi := lo + sharedChunk
-			if hi > len(ordered) {
-				hi = len(ordered)
+			if hi > len(batch) {
+				hi = len(batch)
 			}
-			batch := make([]relational.Query, hi-lo)
-			for i := lo; i < hi; i++ {
-				batch[i-lo] = structured[ordered[i]]
-			}
-			outs[ci].sets, outs[ci].st, outs[ci].err = e.db.SelectMultiWorkersContext(ctx, batch, 1)
+			outs[ci].sets, outs[ci].st, outs[ci].err = e.db.SelectMultiWorkersContext(ctx, batch[lo:hi], 1)
 			outs[ci].done = true
 		}
 		stop := false
@@ -313,14 +341,14 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []Query, shared boo
 			}
 		}
 	default:
-		chunk := len(ordered)
+		chunk := len(batch)
 		if gov && chunk > sharedChunk {
 			chunk = sharedChunk
 		}
-		for lo := 0; lo < len(ordered); lo += chunk {
+		for lo := 0; lo < len(batch); lo += chunk {
 			hi := lo + chunk
-			if hi > len(ordered) {
-				hi = len(ordered)
+			if hi > len(batch) {
+				hi = len(batch)
 			}
 			if gov {
 				if err := ctx.Err(); err != nil {
@@ -334,36 +362,36 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []Query, shared boo
 					break
 				}
 			}
-			batch := make([]relational.Query, hi-lo)
-			for i := lo; i < hi; i++ {
-				batch[i-lo] = structured[ordered[i]]
-			}
-			sets, st, err := e.db.SelectMultiWorkersContext(ctx, batch, 1)
+			sets, st, err := e.db.SelectMultiWorkersContext(ctx, batch[lo:hi], 1)
 			if err != nil {
 				return results, stats, fmt.Errorf("shared execute: %w", err)
 			}
 			copy(rowSets[lo:hi], sets)
-			stats.StructuredQueries += len(batch)
+			stats.StructuredQueries += hi - lo
 			stats.TuplesScanned += st.TuplesScanned
 		}
 	}
 
 	mspan, _ := trace.StartSpan(ctx, "merge")
+	// A query's tuple index is made when rows first reach it.
 	byTuple := make([]map[relational.TupleID]int, len(qs))
 	merged := make([][]Result, len(qs))
-	for i := range byTuple {
-		byTuple[i] = make(map[relational.TupleID]int)
-	}
-	for i, fp := range ordered[:executed] {
-		rows := rowSets[i]
-		for _, n := range wanted[fp] {
-			consumed := rows
-			if n.join {
-				consumed = e.joinProject(rows, n.joinTable)
-			}
-			stats.TuplesReturned += len(consumed)
-			merged[n.queryIdx] = e.mergeRows(merged[n.queryIdx], byTuple[n.queryIdx], consumed, n.conf, qs[n.queryIdx].ID)
+	for _, n := range needs {
+		if n.distinct >= executed {
+			break
 		}
+		consumed := rowSets[n.distinct]
+		if n.join {
+			consumed = e.joinProject(consumed, n.joinTable)
+		}
+		stats.TuplesReturned += len(consumed)
+		if len(consumed) == 0 {
+			continue
+		}
+		if byTuple[n.queryIdx] == nil {
+			byTuple[n.queryIdx] = make(map[relational.TupleID]int)
+		}
+		merged[n.queryIdx] = e.mergeRows(merged[n.queryIdx], byTuple[n.queryIdx], consumed, n.conf, qs[n.queryIdx].ID)
 	}
 	for qi, q := range qs {
 		results[q.ID] = merged[qi]

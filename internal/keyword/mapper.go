@@ -1,11 +1,11 @@
 package keyword
 
 import (
-	"sort"
-	"strings"
+	"slices"
 
 	"nebula/internal/meta"
 	"nebula/internal/relational"
+	"nebula/internal/textutil"
 )
 
 // Configuration captures one possible semantics of a keyword query (the
@@ -80,7 +80,7 @@ func (e *Engine) Configurations(q Query) []Configuration {
 		}
 	}
 	recurse(0)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Confidence > out[j].Confidence })
+	slices.SortStableFunc(out, func(a, b Configuration) int { return descending(a.Confidence, b.Confidence) })
 	return out
 }
 
@@ -133,7 +133,7 @@ func (e *Engine) keywordOptions(k Keyword) []mappingOption {
 			weight: m.Weight,
 		})
 	}
-	sort.SliceStable(opts, func(i, j int) bool { return opts[i].weight > opts[j].weight })
+	slices.SortStableFunc(opts, func(a, b mappingOption) int { return descending(a.weight, b.weight) })
 	if len(opts) > e.MaxMappingsPerKeyword {
 		opts = opts[:e.MaxMappingsPerKeyword]
 	}
@@ -141,34 +141,56 @@ func (e *Engine) keywordOptions(k Keyword) []mappingOption {
 }
 
 // alternateValueOptions returns probe interpretations of a hinted value
-// keyword over the other referencing columns of the same table's concepts,
-// at half the hinted weight, capped at two alternates.
+// keyword over the other referencing columns of the same table's concepts
+// (each concept's distinct columns, as Concept.Columns lists them), at half
+// the hinted weight, capped at two alternates.
 func (e *Engine) alternateValueOptions(k Keyword, hintWeight float64) []mappingOption {
 	var out []mappingOption
 	for _, c := range e.meta.Concepts() {
 		if !equalFold(c.Table, k.TargetTable) {
 			continue
 		}
-		for _, col := range c.Columns() {
-			if equalFold(col.Column, k.TargetColumn) {
-				continue
-			}
-			colType, ok := e.meta.ColumnType(col)
-			if !ok || !relational.CoercibleTo(colType, k.Text) {
-				continue
-			}
-			out = append(out, mappingOption{
-				role:   RoleValue,
-				table:  col.Table,
-				column: col.Column,
-				weight: hintWeight / 2,
-			})
-			if len(out) == 2 {
-				return out
+		for ai, alt := range c.ReferencedBy {
+			for ci, column := range alt {
+				if equalFold(column, k.TargetColumn) || listedBefore(c.ReferencedBy, ai, ci) {
+					continue
+				}
+				col := meta.ColumnRef{Table: c.Table, Column: column}
+				colType, ok := e.meta.ColumnType(col)
+				if !ok || !relational.CoercibleTo(colType, k.Text) {
+					continue
+				}
+				out = append(out, mappingOption{
+					role:   RoleValue,
+					table:  col.Table,
+					column: col.Column,
+					weight: hintWeight / 2,
+				})
+				if len(out) == 2 {
+					return out
+				}
 			}
 		}
 	}
 	return out
+}
+
+// listedBefore reports whether the column at alts[ai][ci] already appears,
+// case-insensitively, earlier in the referencing alternatives.
+func listedBefore(alts [][]string, ai, ci int) bool {
+	column := alts[ai][ci]
+	for i := 0; i <= ai; i++ {
+		end := len(alts[i])
+		if i == ai {
+			end = ci
+		}
+		for _, prev := range alts[i][:end] {
+			if textutil.LowerEqual(prev, column) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // buildConfiguration materializes one assignment into a configuration. The
@@ -215,9 +237,8 @@ func (e *Engine) buildConfiguration(q Query, assignment []mappingOption) (Config
 		return Configuration{}, false
 	}
 
-	var preds []relational.Predicate
+	preds := make([]relational.Predicate, 0, len(assignment))
 	totalWeight, n := 0.0, 0
-	eqKeys := make(map[string]string) // lowercased column -> operand key of its OpEq predicate
 	for i, opt := range assignment {
 		if opt.weight <= 0 {
 			continue
@@ -239,22 +260,8 @@ func (e *Engine) buildConfiguration(q Query, assignment []mappingOption) (Config
 		if err != nil {
 			return Configuration{}, false
 		}
-		if op == relational.OpEq {
-			// Two equality predicates on one column with distinct canonical
-			// operands (OpEq matches case-insensitively, and Key() is the
-			// case-folded canonical form) can never both hold on a tuple, so
-			// the configuration is unsatisfiable: it would scan and always
-			// produce nothing. Drop it from the cross-product.
-			// Token-containment predicates are exempt: one text cell can
-			// contain both tokens.
-			key := strings.ToLower(opt.column)
-			if prev, seen := eqKeys[key]; seen {
-				if prev != operand.Key() {
-					return Configuration{}, false
-				}
-			} else {
-				eqKeys[key] = operand.Key()
-			}
+		if op == relational.OpEq && contradicts(preds, opt.column, operand) {
+			return Configuration{}, false
 		}
 		preds = append(preds, relational.Predicate{Column: opt.column, Op: op, Operand: operand})
 	}
@@ -275,6 +282,36 @@ func (e *Engine) buildConfiguration(q Query, assignment []mappingOption) (Config
 		Join:       join,
 		Confidence: conf,
 	}, true
+}
+
+// contradicts reports whether preds hold an equality predicate on column
+// (compared case-insensitively) whose operand differs from operand's
+// canonical form. OpEq matches case-insensitively and Key() is the
+// case-folded canonical form, so two such predicates can never both hold on
+// a tuple: the configuration would scan and always produce nothing, and is
+// dropped from the cross-product. Token-containment predicates are exempt:
+// one text cell can contain both tokens.
+func contradicts(preds []relational.Predicate, column string, operand relational.Value) bool {
+	for _, p := range preds {
+		if p.Op == relational.OpEq && textutil.LowerEqual(p.Column, column) {
+			// The first equality predicate on the column is the one its
+			// later ones are held to.
+			return !p.Operand.SameKey(operand)
+		}
+	}
+	return false
+}
+
+// descending orders weights from high to low, as the comparator a > b did
+// for sort.SliceStable.
+func descending(a, b float64) int {
+	switch {
+	case a > b:
+		return -1
+	case b > a:
+		return 1
+	}
+	return 0
 }
 
 // fkLinked reports whether tables a and b are connected by a direct FK–PK

@@ -2,7 +2,9 @@ package meta
 
 import (
 	"regexp"
+	"regexp/syntax"
 	"strings"
+	"unicode/utf8"
 
 	"nebula/internal/relational"
 	"nebula/internal/textutil"
@@ -37,6 +39,7 @@ type valueTarget struct {
 	hasOntology bool
 	ontology    map[string]struct{} // keyed by lowered term
 	pattern     *regexp.Regexp      // nil when the column has none
+	filter      patternFilter       // what pattern says of the words it can match
 	sample      []string
 	sampleRunes [][]rune // each sample value lowered and decoded
 }
@@ -88,6 +91,9 @@ func (r *Repository) compile() *matcher {
 		t := valueTarget{col: col, typ: typ}
 		t.ontology, t.hasOntology = r.Ontology(col)
 		t.pattern, _ = r.Pattern(col)
+		if t.pattern != nil {
+			t.filter = newPatternFilter(t.pattern)
+		}
 		t.sample, _ = r.Sample(col)
 		t.sampleRunes = make([][]rune, len(t.sample))
 		for i, s := range t.sample {
@@ -142,6 +148,101 @@ func (r *Repository) compile() *matcher {
 	}
 	m.slots = len(slots)
 	return m
+}
+
+// patternFilter is what a pattern's syntax says of every word it can match:
+// the literal prefix the word starts with, and the range of its length in
+// runes. A word outside it cannot match, so the regexp is not run for it.
+type patternFilter struct {
+	prefix   string
+	minRunes int
+	maxRunes int // < 0: unbounded
+}
+
+// newPatternFilter derives the filter of a pattern SetPattern compiled. It
+// anchors every pattern at the start of the word, so the literal prefix of
+// a match is a prefix of the word.
+func newPatternFilter(re *regexp.Regexp) patternFilter {
+	f := patternFilter{maxRunes: -1}
+	f.prefix, _ = re.LiteralPrefix()
+	if tree, err := syntax.Parse(re.String(), syntax.Perl); err == nil {
+		f.minRunes, f.maxRunes = runeBounds(tree)
+	}
+	return f
+}
+
+func (f *patternFilter) admits(word string) bool {
+	// A rune takes at least one byte: a word shorter in bytes than the
+	// minimum needs no count.
+	if len(word) < f.minRunes || !strings.HasPrefix(word, f.prefix) {
+		return false
+	}
+	n := utf8.RuneCountInString(word)
+	return n >= f.minRunes && (f.maxRunes < 0 || n <= f.maxRunes)
+}
+
+// runeBoundsCap keeps the bounds' arithmetic from overflowing: a minimum
+// above it is lowered to it and a maximum above it is unbounded, both of
+// which only admit more words.
+const runeBoundsCap = 1 << 20
+
+// runeBounds returns the least and greatest number of runes (decoded as the
+// regexp engine decodes them, an invalid byte counting as one) that a
+// match of re spans; hi < 0 means unbounded.
+func runeBounds(re *syntax.Regexp) (lo, hi int) {
+	switch re.Op {
+	case syntax.OpEmptyMatch, syntax.OpBeginLine, syntax.OpEndLine, syntax.OpBeginText,
+		syntax.OpEndText, syntax.OpWordBoundary, syntax.OpNoWordBoundary:
+		return 0, 0
+	case syntax.OpLiteral:
+		// Under case folding a literal rune still matches one rune.
+		return len(re.Rune), len(re.Rune)
+	case syntax.OpCharClass, syntax.OpAnyCharNotNL, syntax.OpAnyChar:
+		return 1, 1
+	case syntax.OpCapture:
+		return runeBounds(re.Sub[0])
+	case syntax.OpStar:
+		return 0, -1
+	case syntax.OpPlus:
+		lo, _ = runeBounds(re.Sub[0])
+		return lo, -1
+	case syntax.OpQuest:
+		_, hi = runeBounds(re.Sub[0])
+		return 0, hi
+	case syntax.OpRepeat:
+		lo, hi = runeBounds(re.Sub[0])
+		lo = min(lo*re.Min, runeBoundsCap) // lo, Min <= 1000 each: no overflow
+		if re.Max < 0 || hi < 0 || hi*re.Max > runeBoundsCap {
+			return lo, -1
+		}
+		return lo, hi * re.Max
+	case syntax.OpConcat, syntax.OpAlternate:
+		concat := re.Op == syntax.OpConcat
+		for i, sub := range re.Sub {
+			sl, sh := runeBounds(sub)
+			switch {
+			case i == 0:
+				lo, hi = sl, sh
+			case concat:
+				lo = min(lo+sl, runeBoundsCap)
+				if hi >= 0 && sh >= 0 && hi+sh <= runeBoundsCap {
+					hi += sh
+				} else {
+					hi = -1
+				}
+			default:
+				lo = min(lo, sl)
+				if hi >= 0 && sh >= 0 {
+					hi = max(hi, sh)
+				} else {
+					hi = -1
+				}
+			}
+		}
+		return lo, hi
+	}
+	// OpNoMatch and anything newer: no bound.
+	return 0, -1
 }
 
 // loweredWord is an annotation word lowered once, with the two singular
@@ -226,8 +327,7 @@ func (m *matcher) conceptMatches(lexicon *Lexicon, word, lower string) []Concept
 	return out
 }
 
-func (m *matcher) valueMatches(word, lower string) []ValueMatch {
-	var out []ValueMatch
+func (m *matcher) appendValueMatches(out []ValueMatch, word, lower string) []ValueMatch {
 	wv := wordView{word: word, lower: lower}
 	// The word's runes travel beside wv, not inside it: the regexp call
 	// makes everything wv points to escape, and the buffer keeps an
@@ -242,7 +342,7 @@ func (m *matcher) valueMatches(word, lower string) []ValueMatch {
 	for i := range m.targets {
 		t := &m.targets[i]
 		if weight := t.match(&wv, runes); weight > 0 {
-			if out == nil {
+			if cap(out) == 0 {
 				out = make([]ValueMatch, 0, len(m.targets))
 			}
 			out = append(out, ValueMatch{Column: t.col, Weight: weight})
@@ -288,7 +388,7 @@ func (t *valueTarget) match(w *wordView, lowerRunes []rune) float64 {
 	// *usual* shape of values, so failing one is soft negative evidence.
 	if t.pattern != nil {
 		hasStrongSource = true
-		if 1.0 > evidence && t.pattern.MatchString(w.word) {
+		if 1.0 > evidence && t.filter.admits(w.word) && t.pattern.MatchString(w.word) {
 			evidence = 1.0
 		}
 	}

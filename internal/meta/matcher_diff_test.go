@@ -110,3 +110,77 @@ func TestCompiledMatcherMatchesReference(t *testing.T) {
 		})
 	}
 }
+
+// prefilterPatterns are the workload's four column patterns and patterns
+// that reach the other branches of the prefilter's bounds: case folding
+// (no literal prefix), alternation of unequal lengths, Unicode classes,
+// unbounded and optional repeats, the empty pattern, and nested repeats.
+var prefilterPatterns = []string{
+	`JW[0-9]{5}`, `[a-z]{3}[A-Z]`, `P[0-9]{5}`, `[A-Z][a-z]{4}in`,
+	`(?i)jw[0-9]{5}`, `(?i)k{2}`, `JW[0-9]{5}|P[0-9]{3,}|x`, `ab(c|de)?`,
+	`\p{Greek}+`, `[\p{Lu}][\p{Ll}]*`, `\pL{2,3}\d`, `.*`, `.+x`, ``, `(?s).`,
+	`(ab){2,3}c?`, `((a|bc){2}){1,2}`, `[^a]{2}`, `a{0}b`, `\bG\w*`, `(?:)*x+`,
+}
+
+// prefilterWords are the corpus tokens plus words of every length around
+// the patterns' bounds, in several scripts, with invalid bytes.
+func prefilterWords(ds *workload.Dataset) []string {
+	words := diffWords(ds)
+	for _, w := range []string{
+		"JW0001", "JW00001", "JW000001", "jw00001", "Jw00001", "P00001", "P0001", "P123",
+		"abcD", "ABCD", "Actin", "Myosin", "Kinasein", "kk", "KK", "Kk", "kK",
+		"ab", "abc", "abde", "abx", "αβγ", "Αβγ", "ΑΒΓ", "Éa", "Éé1", "ab1", "x", "xx",
+		"ababc", "abababc", "aa", "abcbc", "bcbca", "b", "Gene", "G", "\xffx", "\xff\xff", "J\xffW",
+	} {
+		words = append(words, w)
+	}
+	return words
+}
+
+func checkPrefilter(t *testing.T, pattern string, words []string) (rejected int) {
+	t.Helper()
+	admit, err := meta.PatternPrefilter(pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range words {
+		admitted, matched := admit(w)
+		if matched && !admitted {
+			t.Fatalf("pattern %q: prefilter rejects %q, which the regexp matches", pattern, w)
+		}
+		if !admitted {
+			rejected++
+		}
+	}
+	return rejected
+}
+
+// TestPatternPrefilterAdmitsEveryMatch holds the matcher's pattern
+// prefilter to its one promise, that it never rejects a word the pattern
+// matches, over every token of a Small corpus.
+func TestPatternPrefilterAdmitsEveryMatch(t *testing.T) {
+	ds, err := workload.Generate(workload.SmallConfig(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := prefilterWords(ds)
+	rejected := 0
+	for _, p := range prefilterPatterns {
+		rejected += checkPrefilter(t, p, words)
+	}
+	if rejected == 0 {
+		t.Fatal("the prefilter rejected no word: the test proves nothing")
+	}
+}
+
+// FuzzPatternPrefilter holds the prefilter to the regexp on fuzzed words.
+func FuzzPatternPrefilter(f *testing.F) {
+	for _, w := range []string{"JW00042", "jw00042", "abcD", "Actin", "αβγ", "ΑΒΓ", "", "\xff", "K", "ababc"} {
+		f.Add(w)
+	}
+	f.Fuzz(func(t *testing.T, word string) {
+		for _, p := range prefilterPatterns {
+			checkPrefilter(t, p, []string{word})
+		}
+	})
+}

@@ -2,6 +2,7 @@ package meta
 
 import (
 	"math/rand"
+	"regexp"
 	"sync"
 	"testing"
 
@@ -168,5 +169,31 @@ func TestSampleScoringAllocations(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { r.ValueMatchesLowered("famile", "famile") }); allocs > 1 {
 		t.Errorf("ValueMatches allocated %v times, want at most the result slice", allocs)
+	}
+}
+
+// TestPatternFilterBounds pins what the prefilter derives from the
+// workload's patterns and a few shapes: a filter that degrades to "admit
+// everything" stays correct, and this test is what notices.
+func TestPatternFilterBounds(t *testing.T) {
+	for _, c := range []struct {
+		pattern, prefix string
+		lo, hi          int
+	}{
+		{`JW[0-9]{5}`, "JW", 7, 7},
+		{`[a-z]{3}[A-Z]`, "", 4, 4},
+		{`P[0-9]{5}`, "P", 6, 6},
+		{`[A-Z][a-z]{4}in`, "", 7, 7},
+		{`(?i)jw[0-9]+`, "", 3, -1},
+		{`abc|abde`, "ab", 3, 4},
+		{`(ab){2,3}c?`, "", 4, 7},
+		{`\p{Greek}+`, "", 1, -1},
+		{``, "", 0, 0},
+		{`.*`, "", 0, -1},
+	} {
+		f := newPatternFilter(regexp.MustCompile("^(?:" + c.pattern + ")$"))
+		if f.prefix != c.prefix || f.minRunes != c.lo || f.maxRunes != c.hi {
+			t.Errorf("%q: prefix %q, runes %d..%d; want %q, %d..%d", c.pattern, f.prefix, f.minRunes, f.maxRunes, c.prefix, c.lo, c.hi)
+		}
 	}
 }

@@ -70,5 +70,11 @@ func (r *Repository) ValueMatches(word string) []ValueMatch {
 // ValueMatchesLowered is ValueMatches for callers that already hold
 // lower == strings.ToLower(word), as every textutil.Token does.
 func (r *Repository) ValueMatchesLowered(word, lower string) []ValueMatch {
-	return r.matcher().valueMatches(word, lower)
+	return r.matcher().appendValueMatches(nil, word, lower)
+}
+
+// AppendValueMatchesLowered is ValueMatchesLowered appending to dst, so
+// that a caller scoring many words can reuse one buffer across them.
+func (r *Repository) AppendValueMatchesLowered(dst []ValueMatch, word, lower string) []ValueMatch {
+	return r.matcher().appendValueMatches(dst, word, lower)
 }

@@ -430,10 +430,29 @@ func TestColumnSelectivity(t *testing.T) {
 	if s := r.ColumnSelectivity(ColumnRef{Table: "Gene", Column: "GID"}); s != 1 {
 		t.Errorf("cached selectivity changed: %f", s)
 	}
-	// ...until invalidated (still 1.0 for a unique column, but recomputed).
-	r.InvalidateStatistics()
-	if s := r.ColumnSelectivity(ColumnRef{Table: "Gene", Column: "GID"}); s != 1 {
-		t.Errorf("recomputed selectivity = %f", s)
+	// Family is not unique, so its ratio is a fraction. Its cached
+	// value also survives a later insert, and every spelling of the column
+	// reads the one entry.
+	family := r.ColumnSelectivity(ColumnRef{Table: "Gene", Column: "Family"})
+	if family <= 0 || family >= 1 {
+		t.Fatalf("Family selectivity = %f, want a fraction", family)
+	}
+	if _, err := gt.Insert([]relational.Value{
+		relational.String("JW0098"), relational.String("aaaY"),
+		relational.Int(1), relational.String("F-new"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, spelling := range []ColumnRef{{Table: "Gene", Column: "Family"}, {Table: "gene", Column: "FAMILY"}} {
+		if s := r.ColumnSelectivity(spelling); s != family {
+			t.Errorf("%v selectivity = %f, want the cached %f", spelling, s, family)
+		}
+	}
+	// A repository built over the changed data computes afresh.
+	fresh := NewRepository(r.Database(), nil)
+	want := float64(gt.DistinctCount("Family")) / float64(gt.Len())
+	if s := fresh.ColumnSelectivity(ColumnRef{Table: "Gene", Column: "Family"}); s != want || s == family {
+		t.Errorf("fresh Family selectivity = %f, want %f (cached %f)", s, want, family)
 	}
 	// Unknown column: zero.
 	if s := r.ColumnSelectivity(ColumnRef{Table: "Nope", Column: "X"}); s != 0 {

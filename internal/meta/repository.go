@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"nebula/internal/relational"
+	"nebula/internal/textutil"
 )
 
 // Repository is the NebulaMeta metadata store (§5.1). It aggregates the six
@@ -31,7 +32,7 @@ type Repository struct {
 	samples     map[string][]string
 
 	statsMu     sync.Mutex
-	selectivity map[string]float64 // lower(table.column) -> distinct/rows
+	selectivity []columnStat // one per column asked for, in first-asked order
 
 	// compiled is the matcher snapshot of the fields above (see
 	// matcher.go); nil until first use and after every mutation.
@@ -218,34 +219,34 @@ func (r *Repository) DrawSample(col ColumnRef, n int, rng *rand.Rand) error {
 	return nil
 }
 
+// columnStat is a column's cached distinct-values/rows ratio.
+type columnStat struct {
+	col         ColumnRef
+	selectivity float64
+}
+
 // ColumnSelectivity returns the column's distinct-values/rows ratio, the
 // statistic the query generator uses to recognize category-like columns.
-// Values are cached after the first computation (which may scan the table);
-// call InvalidateStatistics after bulk data changes.
+// The value is computed on the column's first request (which may scan the
+// table) and kept for the repository's lifetime; names compare
+// case-insensitively, so every spelling of a column shares one entry. The
+// cache holds one entry per column asked for, a handful, so a walk finds
+// one without building a key.
 func (r *Repository) ColumnSelectivity(col ColumnRef) float64 {
-	key := col.key()
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
-	if r.selectivity == nil {
-		r.selectivity = make(map[string]float64)
-	}
-	if s, ok := r.selectivity[key]; ok {
-		return s
+	for i := range r.selectivity {
+		st := &r.selectivity[i]
+		if textutil.LowerEqual(st.col.Column, col.Column) && textutil.LowerEqual(st.col.Table, col.Table) {
+			return st.selectivity
+		}
 	}
 	s := 0.0
 	if t, ok := r.db.Table(col.Table); ok && t.Len() > 0 {
 		s = float64(t.DistinctCount(col.Column)) / float64(t.Len())
 	}
-	r.selectivity[key] = s
+	r.selectivity = append(r.selectivity, columnStat{col: col, selectivity: s})
 	return s
-}
-
-// InvalidateStatistics drops the cached column statistics so they are
-// recomputed against the current data.
-func (r *Repository) InvalidateStatistics() {
-	r.statsMu.Lock()
-	defer r.statsMu.Unlock()
-	r.selectivity = nil
 }
 
 // ColumnType returns the declared type of a column.

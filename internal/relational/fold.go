@@ -40,6 +40,30 @@ func foldHashASCII(s string) (h uint64, ascii bool) {
 	return h, true
 }
 
+// foldHash is the FNV-1a hash of strings.ToLower(s): foldHashASCII for
+// pure-ASCII s, the hash of ToLower's result otherwise.
+func foldHash(s string) uint64 {
+	if h, ok := foldHashASCII(s); ok {
+		return h
+	}
+	h := uint64(fnvOffset64)
+	lower := strings.ToLower(s)
+	for i := 0; i < len(lower); i++ {
+		h = (h ^ uint64(lower[i])) * fnvPrime64
+	}
+	return h
+}
+
+// mix64 is the splitmix64 finalizer: it spreads every input bit over the
+// output, so that sums of mixed hashes stay well distributed.
+func mix64(h uint64) uint64 {
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
 // foldCell is the hash a hash column keeps for v: foldHashASCII of a
 // pure-ASCII string cell — the hash probe.seal gives operands — and 0 for
 // any other cell. 0 means "ask byKey": the kernel resolves such a cell

@@ -39,9 +39,9 @@ type hit struct {
 // are already cheap and share nothing). Results align with the input order.
 //
 // This is the substrate-level half of the paper's §6 shared multi-query
-// execution: the keyword executor detects identical structured queries by
-// fingerprint, and SelectMultiWorkers shares the physical scans of the
-// distinct remainder.
+// execution: the keyword executor detects identical structured queries
+// (Query.Hash, confirmed by Query.Equal), and SelectMultiWorkers shares the
+// physical scans of the distinct remainder.
 //
 // Each table pass is split into tasks and partitioned — together with the
 // individual indexed lookups — across up to workers goroutines (workers <=

@@ -3,6 +3,8 @@ package relational
 import (
 	"fmt"
 	"strings"
+
+	"nebula/internal/textutil"
 )
 
 // Op is a predicate comparison operator.
@@ -131,23 +133,47 @@ func (q Query) String() string {
 	return "SELECT * FROM " + q.Table + " WHERE " + strings.Join(parts, " AND ")
 }
 
-// Fingerprint returns a canonical identity for the query used by the shared
-// multi-query executor to detect identical sub-queries across keyword
-// queries (§6's shared execution optimization).
-func (q Query) Fingerprint() string {
-	parts := make([]string, len(q.Predicates))
-	for i, p := range q.Predicates {
-		parts[i] = strings.ToLower(p.Column) + "\x00" + p.Op.String() + "\x00" + p.Operand.Key()
+// Hash returns a 64-bit hash of the query's identity: its table, folded,
+// and the multiset of its predicates as (folded column, operator, operand
+// Key()). Conjunction order does not enter it. Queries that Equal reports
+// equal hash alike; the shared multi-query executor groups by Hash and
+// confirms each match with Equal (§6's shared execution optimization).
+func (q Query) Hash() uint64 {
+	var preds uint64
+	for _, p := range q.Predicates {
+		// Adding mixed predicate hashes keeps repeats apart, unlike XOR.
+		preds += mix64(foldHash(p.Column)*31 + uint64(p.Op)*0x9e3779b97f4a7c15 + p.Operand.keyHash())
 	}
-	// Conjunction order is irrelevant: sort for canonical form.
-	sortStrings(parts)
-	return strings.ToLower(q.Table) + "\x01" + strings.Join(parts, "\x01")
+	return mix64(foldHash(q.Table) ^ mix64(preds+uint64(len(q.Predicates))))
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+// Equal reports whether q and o are the same query up to case and
+// conjunction order: fold-equal tables, and predicates that pair off one to
+// one with fold-equal columns, the same operator and SameKey operands.
+func (q Query) Equal(o Query) bool {
+	n := len(q.Predicates)
+	if n != len(o.Predicates) || !textutil.LowerEqual(q.Table, o.Table) {
+		return false
+	}
+	// used marks o's predicates already paired; the pairing is an
+	// equivalence, so pairing greedily decides multiset equality.
+	var stack [8]bool
+	used := stack[:]
+	if n > len(stack) {
+		used = make([]bool, n)
+	}
+	for _, p := range q.Predicates {
+		found := false
+		for j := range o.Predicates {
+			r := &o.Predicates[j]
+			if !used[j] && p.Op == r.Op && p.Operand.SameKey(r.Operand) && textutil.LowerEqual(p.Column, r.Column) {
+				used[j], found = true, true
+				break
+			}
+		}
+		if !found {
+			return false
 		}
 	}
+	return true
 }

@@ -14,7 +14,8 @@ import (
 // workloadScanBatch returns the distinct structured queries of every
 // workload annotation of the dataset, in first-generated order: Stage 1's
 // keyword queries mapped through the keyword engine's configurations,
-// deduplicated by fingerprint the way shared execution deduplicates them.
+// deduplicated by the reference fingerprint, which shared execution's
+// Query.Hash and Query.Equal agree with.
 func workloadScanBatch(ds *workload.Dataset) []relational.Query {
 	gen := sigmap.NewGenerator(ds.Meta, 0.6)
 	eng := keyword.NewEngine(ds.DB, ds.Meta)

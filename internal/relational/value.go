@@ -13,6 +13,7 @@ package relational
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -114,6 +115,39 @@ func (v Value) Key() string {
 		return "i:" + strconv.FormatInt(v.i, 10)
 	default:
 		return "f:" + strconv.FormatFloat(v.f, 'g', -1, 64)
+	}
+}
+
+// SameKey reports v.Key() == o.Key() without building either key: the same
+// kind, and then fold-equal strings, equal ints, or floats with the same
+// shortest rendering, which is one float64 value (every NaN renders alike,
+// and -0 apart from 0).
+func (v Value) SameKey(o Value) bool {
+	if v.kind != o.kind {
+		return false
+	}
+	switch v.kind {
+	case TypeString:
+		return textutil.LowerEqual(v.s, o.s)
+	case TypeInt:
+		return v.i == o.i
+	default:
+		return math.Float64bits(v.f) == math.Float64bits(o.f) || math.IsNaN(v.f) && math.IsNaN(o.f)
+	}
+}
+
+// keyHash is a hash of Key() that SameKey values share.
+func (v Value) keyHash() uint64 {
+	switch v.kind {
+	case TypeString:
+		return foldHash(v.s)
+	case TypeInt:
+		return mix64(uint64(v.i) ^ 0x1)
+	default:
+		if math.IsNaN(v.f) {
+			return mix64(0x7ff8000000000001)
+		}
+		return mix64(math.Float64bits(v.f) ^ 0x2)
 	}
 }
 

@@ -3,7 +3,7 @@ package sigmap
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"nebula/internal/meta"
@@ -147,8 +147,8 @@ func truncateByWeight(queries []Query, n int) []Query {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return queries[idx[a]].Weight > queries[idx[b]].Weight
+	slices.SortStableFunc(idx, func(a, b int) int {
+		return descending(queries[a].Weight, queries[b].Weight)
 	})
 	keep := make(map[int]bool, n)
 	for _, i := range idx[:n] {
@@ -201,12 +201,14 @@ func (g *Generator) ConceptMap(tokens []textutil.Token) map[int]*Entry {
 // the value domain of a ConceptRefs target column, cutoff at ε.
 func (g *Generator) ValueMap(tokens []textutil.Token) map[int]*Entry {
 	out := make(map[int]*Entry)
+	var matches []meta.ValueMatch // reused across the tokens
 	for _, tok := range tokens {
 		if textutil.IsStopword(tok.Lower) {
 			continue
 		}
 		var mappings []Mapping
-		for _, m := range g.Meta.ValueMatchesLowered(tok.Text, tok.Lower) {
+		matches = g.Meta.AppendValueMatchesLowered(matches[:0], tok.Text, tok.Lower)
+		for _, m := range matches {
 			if m.Weight < g.Epsilon {
 				continue
 			}
@@ -258,9 +260,10 @@ func (g *Generator) ContextBasedAdjustment(cm *ContextMap) {
 		mult  float64
 	}
 	var adjustments []adj
+	var neighbors []*Entry
 	for _, wi := range cm.entryIndexes() {
 		entry := cm.Entries[wi]
-		neighbors := cm.EntriesInRange(wi, g.Alpha)
+		neighbors = cm.AppendEntriesInRange(neighbors[:0], wi, g.Alpha)
 		for mi := range entry.Mappings {
 			m := &entry.Mappings[mi]
 			if n := countType1(m, neighbors); n > 0 {
@@ -387,7 +390,19 @@ func countType3(m *Mapping, neighbors []*Entry) int {
 }
 
 func sortMappings(ms []Mapping) {
-	sort.SliceStable(ms, func(i, j int) bool { return ms[i].Weight > ms[j].Weight })
+	slices.SortStableFunc(ms, func(a, b Mapping) int { return descending(a.Weight, b.Weight) })
+}
+
+// descending orders weights from high to low, as the comparator a > b did
+// for sort.SliceStable.
+func descending(a, b float64) int {
+	switch {
+	case a > b:
+		return -1
+	case b > a:
+		return 1
+	}
+	return 0
 }
 
 func equalFold(a, b string) bool {

@@ -104,10 +104,10 @@ type ContextMap struct {
 	Entries map[int]*Entry
 }
 
-// EntriesInRange returns the emphasized entries other than center whose
-// token index lies within alpha words of center, in increasing index order.
-func (cm *ContextMap) EntriesInRange(center, alpha int) []*Entry {
-	var out []*Entry
+// AppendEntriesInRange appends to out the emphasized entries other than
+// center whose token index lies within alpha words of center, in increasing
+// index order, and returns the extended slice.
+func (cm *ContextMap) AppendEntriesInRange(out []*Entry, center, alpha int) []*Entry {
 	for i := center - alpha; i <= center+alpha; i++ {
 		if i == center {
 			continue

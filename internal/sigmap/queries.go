@@ -1,12 +1,11 @@
 package sigmap
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"strconv"
 
 	"nebula/internal/keyword"
 	"nebula/internal/meta"
+	"nebula/internal/textutil"
 )
 
 // Query is the generated keyword search query type; it is exactly the
@@ -22,13 +21,14 @@ type Query = keyword.Query
 // keeping the highest weight, and weights are normalized into [0,1].
 func (g *Generator) ConceptMapToQueries(cm *ContextMap) []Query {
 	var raw []candidateQuery
+	var neighbors []*Entry
 	for _, wi := range cm.entryIndexes() {
 		entry := cm.Entries[wi]
 		best := entry.Best()
 		if best == nil {
 			continue
 		}
-		neighbors := cm.EntriesInRange(wi, g.Alpha)
+		neighbors = cm.AppendEntriesInRange(neighbors[:0], wi, g.Alpha)
 		if q, ok := g.bestMatchQuery(entry, best, neighbors); ok {
 			if g.isSelective(q) {
 				raw = append(raw, q)
@@ -52,15 +52,36 @@ type candidateQuery struct {
 	weight   float64
 }
 
-// key returns the structural identity used for duplicate elimination.
-func (c candidateQuery) key() string {
-	parts := make([]string, len(c.keywords))
-	for i, k := range c.keywords {
-		parts[i] = fmt.Sprintf("%d:%s:%s:%s", k.Role, strings.ToLower(k.TargetTable),
-			strings.ToLower(k.TargetColumn), strings.ToLower(k.Text))
+// sameAs reports whether c and o are the same query for duplicate
+// elimination: their keywords pair off one to one with the same role and
+// fold-equal target table, target column and text.
+func (c candidateQuery) sameAs(o candidateQuery) bool {
+	n := len(c.keywords)
+	if n != len(o.keywords) {
+		return false
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, "|")
+	// used marks o's keywords already paired; the pairing is an
+	// equivalence, so pairing greedily decides multiset equality.
+	var stack [8]bool
+	used := stack[:]
+	if n > len(stack) {
+		used = make([]bool, n)
+	}
+	for _, k := range c.keywords {
+		found := false
+		for j := range o.keywords {
+			m := &o.keywords[j]
+			if !used[j] && k.Role == m.Role && textutil.LowerEqual(k.Text, m.Text) &&
+				textutil.LowerEqual(k.TargetColumn, m.TargetColumn) && textutil.LowerEqual(k.TargetTable, m.TargetTable) {
+				used[j], found = true, true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
 }
 
 // bestMatchQuery forms the strongest match the given mapping can join with
@@ -246,20 +267,20 @@ func makeQuery(kws ...keyword.Keyword) candidateQuery {
 }
 
 // finalizeQueries deduplicates (keeping the highest weight per structural
-// key) and normalizes weights into [0,1] relative to the maximum (Lines
-// 15-16 of Figure 4d).
+// identity, see candidateQuery.sameAs) and normalizes weights into [0,1]
+// relative to the maximum (Lines 15-16 of Figure 4d).
 func finalizeQueries(raw []candidateQuery) []Query {
-	bestByKey := make(map[string]int)
 	var kept []candidateQuery
+next:
 	for _, c := range raw {
-		k := c.key()
-		if i, ok := bestByKey[k]; ok {
-			if c.weight > kept[i].weight {
-				kept[i] = c
+		for i := range kept {
+			if kept[i].sameAs(c) {
+				if c.weight > kept[i].weight {
+					kept[i] = c
+				}
+				continue next
 			}
-			continue
 		}
-		bestByKey[k] = len(kept)
 		kept = append(kept, c)
 	}
 	maxW := 0.0
@@ -275,7 +296,7 @@ func finalizeQueries(raw []candidateQuery) []Query {
 			w = c.weight / maxW
 		}
 		out[i] = Query{
-			ID:       fmt.Sprintf("q%d", i+1),
+			ID:       "q" + strconv.Itoa(i+1),
 			Keywords: c.keywords,
 			Weight:   w,
 		}

@@ -440,7 +440,7 @@ func TestEntriesInRangeOrdering(t *testing.T) {
 			geneIdx = i
 		}
 	}
-	neighbors := ctx.EntriesInRange(geneIdx, 3)
+	neighbors := ctx.AppendEntriesInRange(nil, geneIdx, 3)
 	if len(neighbors) != 2 {
 		t.Fatalf("neighbors = %d", len(neighbors))
 	}

@@ -128,6 +128,45 @@ func AppendLower(dst []byte, tok string, ascii bool) []byte {
 	return dst
 }
 
+// LowerEqual reports strings.ToLower(a) == strings.ToLower(b). While both
+// strings are ASCII it folds byte by byte without building either; the first
+// byte >= 0x80 hands the question to ToLower, since Unicode lowering can
+// change the byte length. ToLower maps rune by rune from the front, so an
+// ASCII mismatch before that byte already settles the answer.
+func LowerEqual(a, b string) bool {
+	if len(a) != len(b) {
+		if isASCII(a) && isASCII(b) {
+			return false
+		}
+		return strings.ToLower(a) == strings.ToLower(b)
+	}
+	for i := 0; i < len(a); i++ {
+		ca, cb := a[i], b[i]
+		if ca|cb >= utf8.RuneSelf {
+			return strings.ToLower(a) == strings.ToLower(b)
+		}
+		if 'A' <= ca && ca <= 'Z' {
+			ca += 'a' - 'A'
+		}
+		if 'A' <= cb && cb <= 'Z' {
+			cb += 'a' - 'A'
+		}
+		if ca != cb {
+			return false
+		}
+	}
+	return true
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
 // Tokenize splits an annotation's text into word tokens (see Scanner for
 // what a token is). Text, and Lower where the token holds nothing to fold,
 // are substrings of text.

@@ -387,3 +387,71 @@ func TestCacheHitAllocations(t *testing.T) {
 		}
 	}
 }
+
+// coldBed is a D_size engine shaped like the end-to-end benchmark's
+// discover_cold one (defaults, four shards) and its base publications.
+// Discoveries run with the cache off, so each one takes the whole cold path:
+// Stage 1, configuration building, the shared scans and ranking.
+func coldBed(tb testing.TB, size string) (*nebula.Engine, []nebula.AnnotationID) {
+	tb.Helper()
+	ds := freshDataset(tb, size)
+	opts := nebula.DefaultOptions()
+	opts.Shards = 4
+	e, err := nebula.NewWithState(ds.DB, ds.Meta, ds.Store, ds.Graph, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ids := make([]nebula.AnnotationID, len(ds.Base))
+	for i, spec := range ds.Base {
+		ids[i] = spec.Ann.ID
+	}
+	return e, ids
+}
+
+var coldRequest = nebula.RequestOptions{Cache: "off"}
+
+// BenchmarkDiscoverCold measures Engine.DiscoverRequest on D_mid with the
+// cache off, stepping through the base publications so that consecutive
+// discoveries never repeat one: the engine's share of a discover_cold step.
+func BenchmarkDiscoverCold(b *testing.B) {
+	e, ids := coldBed(b, "mid")
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := e.DiscoverRequest(ctx, ids[i%len(ids)], coldRequest)
+		if err != nil {
+			b.Fatal(err)
+		}
+		matcherSink += len(d.Candidates)
+	}
+}
+
+// coldDiscoveryAllocs is TestColdDiscoveryAllocations' budget: the 332
+// allocations measured on D_small, plus a margin of about 5 %.
+const coldDiscoveryAllocs = 350
+
+// TestColdDiscoveryAllocations is the allocation budget of a cold discovery
+// on D_small, averaged over the first base publications: Stage 1's maps and
+// queries, the configurations, the scan results and the ranked candidates.
+// A rise past it means the cold path has started to build something per
+// query or per configuration again.
+func TestColdDiscoveryAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	e, ids := coldBed(t, "small")
+	ids = ids[:200]
+	ctx := context.Background()
+	next := 0
+	allocs := testing.AllocsPerRun(len(ids), func() {
+		if _, err := e.DiscoverRequest(ctx, ids[next%len(ids)], coldRequest); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	t.Logf("%.0f allocations per cold discovery", allocs)
+	if allocs > coldDiscoveryAllocs {
+		t.Errorf("cold discovery: %.0f allocations, want at most %d", allocs, coldDiscoveryAllocs)
+	}
+}
